@@ -58,9 +58,6 @@ def main():
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(args.seconds), "--trace", str(args.trace),
            "--commit", commit()]
-    if args.trace:
-        cmd += ["--trace-file", os.path.join(
-            build_dir, "spans-%s-%d.jsonl" % (args.workload, args.seed))]
     return subprocess.run(cmd).returncode
 
 

@@ -4,8 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace perfbench {
 
@@ -38,19 +39,6 @@ double Tracer::total_us(std::uint32_t name) const {
   return std::accumulate(d.begin(), d.end(), 0.0);
 }
 
-bool Tracer::write(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const Span& s = spans_[i];
-    out << "{\"id\":" << i + 1 << ",\"name\":\"" << names_[s.name]
-        << "\",\"request\":" << s.request << ",\"parent\":" << s.parent
-        << ",\"start_ns\":" << s.start_ns << ",\"end_ns\":" << s.end_ns
-        << ",\"count\":" << s.count << "}\n";
-  }
-  return static_cast<bool>(out);
-}
-
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0;
   std::sort(values.begin(), values.end());
@@ -72,56 +60,44 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-void report_timings(Report& report, const std::vector<double>& op_us,
-                    const std::vector<char>& is_latency,
-                    double requests_per_op) {
-  struct Window {
-    std::size_t begin = 0, end = 0;
-    double busy_us = 0;
-  };
-  const std::size_t count = std::min<std::size_t>(200, op_us.size());
-  std::vector<Window> windows(count);
-  for (std::size_t w = 0; w < count; ++w) {
-    Window& win = windows[w];
-    win.begin = w * op_us.size() / count;
-    win.end = (w + 1) * op_us.size() / count;
-    for (std::size_t i = win.begin; i < win.end; ++i) win.busy_us += op_us[i];
+void Timeline::report(Report& report, double requests_per_op) const {
+  if (passes_ == 0 || op_us_.size() % passes_ != 0) {
+    throw std::logic_error("Timeline: passes of unequal length");
   }
-  std::sort(windows.begin(), windows.end(),
-            [](const Window& a, const Window& b) { return a.busy_us < b.busy_us; });
-  windows.resize(std::max<std::size_t>(1, count / 10));
-
-  auto latency = [&](std::size_t i) {
-    return is_latency.empty() || is_latency[i] != 0;
-  };
-  std::vector<double> quiet;
-  std::size_t quiet_ops = 0;
-  double quiet_us = 0;
-  for (const Window& win : windows) {
-    quiet_ops += win.end - win.begin;
-    quiet_us += win.busy_us;
-    for (std::size_t i = win.begin; i < win.end; ++i) {
-      if (latency(i)) quiet.push_back(op_us[i]);
-    }
+  const std::size_t per_pass = op_us_.size() / passes_;
+  std::vector<double> fastest(op_us_.begin(), op_us_.begin() + per_pass);
+  for (std::size_t i = per_pass; i < op_us_.size(); ++i) {
+    double& best = fastest[i % per_pass];
+    best = std::min(best, op_us_[i]);
+  }
+  std::vector<double> fastest_latency;
+  for (std::size_t i = 0; i < per_pass; ++i) {
+    if (is_latency_[i] != 0) fastest_latency.push_back(fastest[i]);
   }
   std::vector<double> all;
-  double all_us = 0;
-  for (std::size_t i = 0; i < op_us.size(); ++i) {
-    all_us += op_us[i];
-    if (latency(i)) all.push_back(op_us[i]);
+  for (std::size_t i = 0; i < op_us_.size(); ++i) {
+    if (is_latency_[i] != 0) all.push_back(op_us_[i]);
   }
+  const double pass_us = std::accumulate(fastest.begin(), fastest.end(), 0.0);
+  const double all_us = std::accumulate(op_us_.begin(), op_us_.end(), 0.0);
+
+  const std::string fastest_of = "fastest of " + std::to_string(passes_) +
+                                 " passes for each of ";
+  report.metric("setup_s", percentile(setups_, 0), "s",
+                "fastest of " + std::to_string(setups_.size()) + " set-ups");
   report.metric("throughput_rps",
-                static_cast<double>(quiet_ops) * requests_per_op /
-                    (quiet_us * 1e-6),
-                "1/s");
-  report.metric("latency_p50_us", median(quiet), "us");
-  report.note("latency_p90_us", percentile(quiet, 0.90), "us");
-  report.note("latency_p99_us", percentile(quiet, 0.99), "us");
-  report.note("latency_samples_pooled", static_cast<double>(quiet.size()),
-              "count");
+                static_cast<double>(per_pass) * requests_per_op /
+                    (pass_us * 1e-6),
+                "1/s", fastest_of + std::to_string(per_pass) + " ops");
+  report.metric("latency_p50_us", median(fastest_latency), "us",
+                fastest_of + std::to_string(fastest_latency.size()) +
+                    " latency ops");
+  report.note("latency_p90_us", percentile(fastest_latency, 0.90), "us");
+  report.note("latency_p99_us", percentile(fastest_latency, 0.99), "us");
+  report.note("median_setup_s", median(setups_), "s");
   report.note("all_samples", static_cast<double>(all.size()), "count");
   report.note("all_throughput_rps",
-              static_cast<double>(op_us.size()) * requests_per_op /
+              static_cast<double>(op_us_.size()) * requests_per_op /
                   (all_us * 1e-6),
               "1/s");
   report.note("all_latency_p50_us", median(all), "us");

@@ -33,7 +33,9 @@ using namespace mmdiag;
 constexpr const char* kSpec = "hypercube 10";
 constexpr unsigned kDelta = 4;
 constexpr std::size_t kEpochs = 24;
-constexpr unsigned kSetups = 15;
+// Cold set-ups run between passes while they have taken less than this
+// share of the pass time.
+constexpr double kSetupShare = 0.2;
 
 enum class OpKind : std::uint8_t { kRemove, kRepair, kFull, kFlip, kRepeat };
 
@@ -178,81 +180,56 @@ double setup_once(Live& live) {
 
 /// Totals over the passes a run makes.
 struct PassStats {
-  std::vector<double> op_us;  // every op, in the order it ran
-  std::vector<char> is_read;  // per op
-  std::uint64_t lookups = 0;
+  std::size_t ops = 0;
   std::size_t reads = 0;
+  double busy_us = 0;        // time in the timed calls, spans included
+  std::vector<double> write_us;
+  std::uint64_t lookups = 0;
   std::size_t reused = 0;    // delta reads: components served from cache
   std::size_t reprobed = 0;  // delta reads: components probed again
-
-  void add(double us, bool read) {
-    op_us.push_back(us);
-    is_read.push_back(read ? 1 : 0);
-    reads += read ? 1 : 0;
-  }
-  [[nodiscard]] std::vector<double> write_us() const {
-    std::vector<double> out;
-    for (std::size_t i = 0; i < op_us.size(); ++i) {
-      if (is_read[i] == 0) out.push_back(op_us[i]);
-    }
-    return out;
-  }
-  [[nodiscard]] double busy_us() const {
-    double us = 0;
-    for (const double v : op_us) us += v;
-    return us;
-  }
 };
 
-/// One pass over the script. With a tracer, each op is a "request" span
-/// around a span for its ChurnEngine call. Reads are checked against
-/// diagnose_cold outside the timed call.
-void run_pass(ChurnEngine& churn, const Script& s, PassStats& stats,
-              Report& report, Tracer* tracer) {
-  std::uint32_t kRequest = 0, kApply = 0, kDiagnose = 0, kDeltaRead = 0;
-  if (tracer != nullptr) {
-    kRequest = tracer->name("request");
-    kApply = tracer->name("churn.apply");
-    kDiagnose = tracer->name("churn.diagnose");
-    kDeltaRead = tracer->name("churn.diagnose_delta");
-  }
+/// One pass over the script: each op's ChurnEngine call is timed, with a
+/// span around it (recorded only while `tracer` is enabled), and added to
+/// `timeline` when there is one. Reads are checked against diagnose_cold
+/// outside the timed call.
+void run_pass(ChurnEngine& churn, const Script& s, Tracer& tracer,
+              PassStats& stats, Report& report, Timeline* timeline) {
+  const std::uint32_t kApply = tracer.name("churn.apply");
+  const std::uint32_t kDiagnose = tracer.name("churn.diagnose");
+  const std::uint32_t kDeltaRead = tracer.name("churn.diagnose_delta");
+  auto timed = [&](double us, bool read) {
+    ++stats.ops;
+    stats.busy_us += us;
+    if (read) {
+      ++stats.reads;
+    } else {
+      stats.write_us.push_back(us);
+    }
+    if (timeline != nullptr) timeline->op(us, read);
+  };
   for (std::size_t k = 0; k < s.ops.size(); ++k) {
     const Op& op = s.ops[k];
-    const auto id = static_cast<std::uint32_t>(k + 1);
-    const std::uint32_t request =
-        tracer != nullptr ? tracer->open(kRequest, id) : 0;
     if (op.kind == OpKind::kRemove || op.kind == OpKind::kRepair) {
       const ChurnDelta delta{op.kind == OpKind::kRemove ? ChurnOp::kRemoveNode
                                                         : ChurnOp::kRepairNode,
                              op.node, 0};
-      const std::uint32_t span =
-          tracer != nullptr ? tracer->open(kApply, id, request) : 0;
       const std::int64_t t0 = now_ns();
+      const std::uint32_t span = tracer.open(kApply);
       churn.apply(delta);
-      const std::int64_t t1 = now_ns();
-      if (tracer != nullptr) {
-        tracer->close(span);
-        tracer->close(request);
-      }
-      stats.add(static_cast<double>(t1 - t0) * 1e-3, false);
+      tracer.close(span);
+      timed(static_cast<double>(now_ns() - t0) * 1e-3, false);
       (void)report.answer(true, true);
       continue;
     }
     const LazyOracle& oracle = s.oracles[op.oracle];
     const bool full = op.kind == OpKind::kFull;
-    const std::uint32_t span =
-        tracer != nullptr
-            ? tracer->open(full ? kDiagnose : kDeltaRead, id, request)
-            : 0;
     const std::int64_t t0 = now_ns();
+    const std::uint32_t span = tracer.open(full ? kDiagnose : kDeltaRead);
     const ChurnDiagnosis d =
         full ? churn.diagnose(oracle) : churn.diagnose_delta(oracle, op.changed);
-    const std::int64_t t1 = now_ns();
-    if (tracer != nullptr) {
-      tracer->close(span, d.spent_lookups);
-      tracer->close(request);
-    }
-    stats.add(static_cast<double>(t1 - t0) * 1e-3, true);
+    tracer.close(span);
+    timed(static_cast<double>(now_ns() - t0) * 1e-3, true);
     stats.lookups += d.spent_lookups;
     if (!full) {
       stats.reused += d.components_reused;
@@ -277,108 +254,88 @@ Report run_churn_online(const Options& opt) {
   make_script(s, opt.seed);
 
   Live live;
-  std::vector<double> setups;
-  for (unsigned i = 0; i < (opt.trace ? 1 : kSetups); ++i) {
-    setups.push_back(setup_once(live));
-  }
+  (void)setup_once(live);
+  Tracer tracer;
+  tracer.enable(false);
   {
     PassStats warm;
-    run_pass(*live.churn, s, warm, report, nullptr);
+    run_pass(*live.churn, s, tracer, warm, report, nullptr);
   }
-  const std::int64_t deadline =
-      now_ns() + static_cast<std::int64_t>(opt.seconds * 1e9);
 
   if (!opt.trace) {
+    Timeline timeline;
+    Live cold;  // set-ups only
     PassStats stats;
     double first_pass_lookups = 0;
     std::size_t first_pass_reads = 0;
-    while (now_ns() < deadline) {
-      run_pass(*live.churn, s, stats, report, nullptr);
-      if (first_pass_reads == 0) {
-        first_pass_lookups = static_cast<double>(stats.lookups);
-        first_pass_reads = stats.reads;
-      }
-    }
-    report.metric("setup_s", median(setups), "s");
-    report_timings(report, stats.op_us, stats.is_read, 1);
+    timeline.measure(
+        opt.seconds, kSetupShare,
+        [&](Timeline& t) {
+          run_pass(*live.churn, s, tracer, stats, report, &t);
+          if (first_pass_reads == 0) {
+            first_pass_lookups = static_cast<double>(stats.lookups);
+            first_pass_reads = stats.reads;
+          }
+        },
+        [&] { return setup_once(cold); });
+    timeline.report(report, 1);
     report.metric("lookups_per_request",
                   first_pass_lookups / static_cast<double>(first_pass_reads),
                   "count");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
-    const std::vector<double> writes = stats.write_us();
-    report.note("write_p50_us", median(writes), "us");
-    report.note("write_p99_us", percentile(writes, 0.99), "us");
-    report.note("write_samples", static_cast<double>(writes.size()), "count");
+    report.note("write_p50_us", median(stats.write_us), "us");
+    report.note("write_p99_us", percentile(stats.write_us, 0.99), "us");
+    report.note("write_samples", static_cast<double>(stats.write_us.size()),
+                "count");
     return report;
   }
 
-  // Traced run, part 1: untraced and traced passes alternate.
-  Tracer tracer;
-  PassStats untraced;
-  PassStats traced;
+  // Traced run, part 1: passes with span recording on and off alternate.
+  PassStats on;
+  PassStats off;
   const std::uint64_t recertified_before = live.churn->components_recertified();
+  const std::int64_t deadline =
+      now_ns() + static_cast<std::int64_t>(opt.seconds * 1e9);
   for (std::size_t pass = 0; now_ns() < deadline; ++pass) {
     const bool trace_this = pass % 2 == 1;
-    run_pass(*live.churn, s, trace_this ? traced : untraced, report,
-             trace_this ? &tracer : nullptr);
+    tracer.enable(trace_this);
+    run_pass(*live.churn, s, tracer, trace_this ? on : off, report, nullptr);
   }
+  tracer.enable(true);
   const std::uint64_t recertified =
       live.churn->components_recertified() - recertified_before;
-  const std::uint32_t kRequest = tracer.name("request");
   const std::uint32_t kApply = tracer.name("churn.apply");
   const std::uint32_t kDiagnose = tracer.name("churn.diagnose");
   const std::uint32_t kDeltaRead = tracer.name("churn.diagnose_delta");
 
   LayerMetrics m;
-  const auto traced_ops = static_cast<double>(traced.op_us.size());
-  const double untraced_per_op =
-      untraced.busy_us() / static_cast<double>(untraced.op_us.size());
   const double call_us = tracer.total_us(kApply) + tracer.total_us(kDiagnose) +
                          tracer.total_us(kDeltaRead);
-  m.trace_coverage = ratio(call_us / traced_ops, untraced_per_op);
+  m.trace_coverage = ratio(call_us, on.busy_us);
   m.trace_overhead =
-      ratio(untraced_per_op, tracer.total_us(kRequest) / traced_ops);
+      ratio(off.busy_us / static_cast<double>(off.ops),
+            on.busy_us / static_cast<double>(on.ops));
   const std::vector<double> applies = tracer.durations_us(kApply);
   m.churn_apply_us = median(applies);
   m.churn_apply_p99_us = percentile(applies, 0.99);
-  const std::size_t writes = untraced.op_us.size() - untraced.reads +
-                             traced.op_us.size() - traced.reads;
+  const std::size_t writes = on.write_us.size() + off.write_us.size();
   m.recertified_per_apply =
       ratio(static_cast<double>(recertified), static_cast<double>(writes));
   m.delta_reuse_ratio =
-      ratio(static_cast<double>(untraced.reused + traced.reused),
-            static_cast<double>(untraced.reused + traced.reused +
-                                untraced.reprobed + traced.reprobed));
+      ratio(static_cast<double>(on.reused + off.reused),
+            static_cast<double>(on.reused + off.reused + on.reprobed +
+                                off.reprobed));
   m.churn_lookups_per_read =
-      ratio(static_cast<double>(untraced.lookups + traced.lookups),
-            static_cast<double>(untraced.reads + traced.reads));
+      ratio(static_cast<double>(on.lookups + off.lookups),
+            static_cast<double>(on.reads + off.reads));
 
   // Part 2: the engine under the churn engine, and its calibration rebuilt.
-  const EngineCounters counters = live.engine->counters();
-  m.cache_hit_ratio = ratio(static_cast<double>(counters.hits),
-                            static_cast<double>(counters.hits + counters.misses));
-  std::vector<double> lookup_ns;
-  for (int rep = 0; rep < 1000; ++rep) {
-    const std::int64_t t0 = now_ns();
-    (void)live.engine->calibration(kSpec, kDelta, ParentRule::kSpread, true);
-    lookup_ns.push_back(static_cast<double>(now_ns() - t0));
-  }
-  m.warm_lookup_ns = median(lookup_ns);
   DiagnoserOptions options;
   options.delta = kDelta;
-  std::vector<double> build_us;
-  for (int rep = 0; rep < 100; ++rep) {
-    const std::int64_t t0 = now_ns();
-    (void)live.engine->make_diagnoser(kSpec, options);
-    build_us.push_back(static_cast<double>(now_ns() - t0) * 1e-3);
-  }
-  m.diagnoser_build_us = median(build_us);
+  measure_engine(*live.engine, {kSpec}, options, m);
   replay_calibration(kSpec, kDelta, GraphMode::kCsr, m);
 
   m.emit(report);
-  if (!opt.trace_file.empty() && !tracer.write(opt.trace_file)) {
-    report.wrong("could not write spans to " + opt.trace_file);
-  }
   return report;
 }
 

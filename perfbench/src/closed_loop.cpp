@@ -31,12 +31,12 @@ using namespace mmdiag;
 
 struct LoopConfig {
   std::string spec;
-  unsigned setups = 15;    // cold set-ups per run; setup_s is their median
-  bool at_bound = false;   // |F| = δ always, else |F| cycles 0..δ
-  std::size_t pool = 0;    // distinct requests (0 = (δ+1) · 4 · 16)
-  std::size_t warmup = 0;  // untimed requests after set-up
-  std::size_t replays = 0; // requests replayed layer by layer when traced
-  unsigned replay_reps = 1; // solves and replays per replayed request
+  double setup_share = 0.2;   // set-up time per pass time, at most
+  bool at_bound = false;      // |F| = δ always, else |F| cycles 0..δ
+  std::size_t pool = 0;       // distinct requests (0 = (δ+1) · 4)
+  std::size_t warmup = 0;     // untimed requests after set-up
+  std::size_t replays = 0;    // requests replayed layer by layer when traced
+  unsigned replay_reps = 1;   // solves and replays per replayed request
 };
 
 /// The view a pool's oracles read adjacency through: a CSR graph of their
@@ -93,7 +93,7 @@ struct Pool {
     Rng rng(mix64(seed, 0x0C105EDull));
     const std::size_t n = view.num_nodes();
     const std::size_t size =
-        config.pool != 0 ? config.pool : std::size_t{delta + 1} * 4 * 16;
+        config.pool != 0 ? config.pool : std::size_t{delta + 1} * 4;
     for (std::size_t k = 0; k < size; ++k) {
       const std::size_t count = config.at_bound ? delta : k % (delta + 1);
       const FaultyBehavior behavior =
@@ -103,15 +103,6 @@ struct Pool {
     }
   }
 };
-
-void check(Report& report, const DiagnosisResult& r, const FaultSet& truth,
-           std::size_t k) {
-  if (!report.answer(r.success, r.faults == truth.nodes())) {
-    report.wrong("request " + std::to_string(k) + ": diagnosed " +
-                 std::to_string(r.faults.size()) + " faults, injected " +
-                 std::to_string(truth.size()));
-  }
-}
 
 double setup_once(std::unique_ptr<DiagnosisEngine>& engine,
                   const std::string& spec) {
@@ -128,101 +119,101 @@ Report run_loop(const Options& opt, const LoopConfig& config) {
   report.lanes = 1;
   const Pool<GV> pool(config, opt.seed);
   const std::size_t size = pool.oracles.size();
+  auto check = [&](const DiagnosisResult& r, std::size_t i, std::size_t k) {
+    check_answer(report, r, pool.faults[i].nodes(), k);
+  };
 
   std::unique_ptr<DiagnosisEngine> engine;
-  // A traced run needs one engine, not the set-up median.
-  std::vector<double> setups;
-  for (unsigned i = 0; i < (opt.trace ? 1 : config.setups); ++i) {
-    setups.push_back(setup_once(engine, config.spec));
-  }
+  (void)setup_once(engine, config.spec);
   for (std::size_t k = 0; k < config.warmup; ++k) {
-    check(report, engine->diagnose(config.spec, pool.oracles[k % size]),
-          pool.faults[k % size], k);
+    check(engine->diagnose(config.spec, pool.oracles[k % size]), k % size, k);
   }
-
-  const std::int64_t deadline =
-      now_ns() + static_cast<std::int64_t>(opt.seconds * 1e9);
 
   if (!opt.trace) {
-    std::vector<double> latencies;
+    Timeline timeline;
+    std::unique_ptr<DiagnosisEngine> cold;  // set-ups only
     std::vector<char> seen(size, 0);
     double lookups = 0;
-    std::size_t distinct = 0;
-    for (std::size_t k = 0; now_ns() < deadline; ++k) {
-      const std::size_t i = k % size;
-      const std::int64_t t0 = now_ns();
-      const DiagnosisResult r = engine->diagnose(config.spec, pool.oracles[i]);
-      const std::int64_t t1 = now_ns();
-      latencies.push_back(static_cast<double>(t1 - t0) * 1e-3);
-      check(report, r, pool.faults[i], k);
-      if (seen[i] == 0) {
-        seen[i] = 1;
-        lookups += static_cast<double>(r.lookups);
-        ++distinct;
-      }
-    }
-    report.metric("setup_s", median(setups), "s");
-    report_timings(report, latencies, {}, 1);
-    report.metric("lookups_per_request", lookups / static_cast<double>(distinct),
+    std::size_t k = 0;
+    timeline.measure(
+        opt.seconds, config.setup_share,
+        [&](Timeline& t) {
+          for (std::size_t i = 0; i < size; ++i, ++k) {
+            const std::int64_t t0 = now_ns();
+            const DiagnosisResult r =
+                engine->diagnose(config.spec, pool.oracles[i]);
+            t.op(static_cast<double>(now_ns() - t0) * 1e-3);
+            check(r, i, k);
+            if (seen[i] == 0) {
+              seen[i] = 1;
+              lookups += static_cast<double>(r.lookups);
+            }
+          }
+        },
+        [&] { return setup_once(cold, config.spec); });
+    timeline.report(report, 1);
+    report.metric("lookups_per_request", lookups / static_cast<double>(size),
                   "count");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
-    report.note("setup_samples", static_cast<double>(setups.size()), "count");
     return report;
   }
 
-  // Traced run, part 1: each request is served twice, alternately first —
-  // once by DiagnosisEngine::diagnose (untraced), once through its layers'
-  // public calls with a span around each (traced): the warm calibration
-  // look-up, the Diagnoser build, and the solve.
+  // Traced run, part 1: each request is served three times in rotating
+  // order — by DiagnosisEngine::diagnose, and through its layers' public
+  // calls (the warm calibration look-up, the Diagnoser build, the solve)
+  // with span recording on and with it off.
   Tracer tracer;
-  const std::uint32_t kRequest = tracer.name("request");
   const std::uint32_t kCalibration = tracer.name("engine.calibration");
   const std::uint32_t kBuild = tracer.name("engine.diagnoser_build");
   const std::uint32_t kDiagnose = tracer.name("diagnoser.diagnose");
   const DiagnoserOptions& options = engine->options().diagnoser;
-  double untraced_us = 0;
+  auto through_layers = [&](std::size_t i, DiagnosisResult& r) {
+    const std::uint32_t s_cal = tracer.open(kCalibration);
+    const std::shared_ptr<const Calibration> cal =
+        engine->calibration(config.spec);
+    tracer.close(s_cal);
+    const std::uint32_t s_build = tracer.open(kBuild);
+    const std::unique_ptr<Diagnoser> diagnoser =
+        make_calibrated<GV>(cal, options);
+    tracer.close(s_build);
+    const std::uint32_t s_diag = tracer.open(kDiagnose);
+    r = diagnoser->diagnose(pool.oracles[i]);
+    tracer.close(s_diag);
+    return tracer.span_us(s_cal) + tracer.span_us(s_build) +
+           tracer.span_us(s_diag);
+  };
+  double engine_us = 0;
+  double on_us = 0;
+  double off_us = 0;
   double layer_us = 0;
+  const std::int64_t deadline =
+      now_ns() + static_cast<std::int64_t>(opt.seconds * 1e9);
   for (std::size_t k = 0; now_ns() < deadline; ++k) {
     const std::size_t i = k % size;
-    const auto id = static_cast<std::uint32_t>(k + 1);
-    for (int pass = 0; pass < 2; ++pass) {
-      if ((pass == 0) == (k % 2 == 0)) {
-        const std::int64_t t0 = now_ns();
-        const DiagnosisResult r =
-            engine->diagnose(config.spec, pool.oracles[i]);
-        untraced_us += static_cast<double>(now_ns() - t0) * 1e-3;
-        check(report, r, pool.faults[i], k);
-        continue;
+    for (std::size_t slot = 0; slot < 3; ++slot) {
+      const std::size_t way = (slot + k) % 3;  // 0 engine, 1 on, 2 off
+      DiagnosisResult r;
+      tracer.enable(way == 1);
+      const std::int64_t t0 = now_ns();
+      if (way == 0) {
+        r = engine->diagnose(config.spec, pool.oracles[i]);
+      } else {
+        layer_us += through_layers(i, r);
       }
-      const std::uint32_t request = tracer.open(kRequest, id);
-      const std::uint32_t s_cal = tracer.open(kCalibration, id, request);
-      const std::shared_ptr<const Calibration> cal =
-          engine->calibration(config.spec);
-      tracer.close(s_cal);
-      const std::uint32_t s_build = tracer.open(kBuild, id, request);
-      const std::unique_ptr<Diagnoser> diagnoser =
-          make_calibrated<GV>(cal, options);
-      tracer.close(s_build);
-      const std::uint32_t s_diag = tracer.open(kDiagnose, id, request);
-      const DiagnosisResult r = diagnoser->diagnose(pool.oracles[i]);
-      tracer.close(s_diag, r.lookups);
-      tracer.close(request);
-      layer_us +=
-          tracer.span_us(s_cal) + tracer.span_us(s_build) + tracer.span_us(s_diag);
-      check(report, r, pool.faults[i], k);
+      const double us = static_cast<double>(now_ns() - t0) * 1e-3;
+      (way == 0 ? engine_us : way == 1 ? on_us : off_us) += us;
+      check(r, i, k);
     }
   }
+  tracer.enable(true);
 
   LayerMetrics m;
-  const EngineCounters counters = engine->counters();
-  m.cache_hit_ratio = ratio(static_cast<double>(counters.hits),
-                            static_cast<double>(counters.hits + counters.misses));
-  m.warm_lookup_ns = median(tracer.durations_us(kCalibration)) * 1e3;
-  m.diagnoser_build_us = median(tracer.durations_us(kBuild));
-  m.trace_coverage = ratio(layer_us, untraced_us);
-  m.trace_overhead = ratio(untraced_us, tracer.total_us(kRequest));
+  m.trace_coverage = ratio(layer_us, engine_us);
+  m.trace_overhead = ratio(off_us, on_us);
 
-  // Part 2: the calibration rebuilt outside the engine.
+  // Part 2: the engine's own entry points, and the calibration rebuilt
+  // outside the engine.
+  measure_engine(*engine, {config.spec}, options, m);
   const std::shared_ptr<const Calibration> cal = engine->calibration(config.spec);
   replay_calibration(config.spec, 0,
                      cal->is_implicit() ? GraphMode::kImplicit : GraphMode::kCsr,
@@ -233,11 +224,9 @@ Report run_loop(const Options& opt, const LoopConfig& config) {
   const GV& view = calibration_view<GV>(*cal);
   SetBuilder probe(view, cal->rule());
   SetBuilder final_run(view, options.final_rule);
-  const std::uint32_t kReplay = tracer.name("replay");
   DriverReplay replay;
   for (std::size_t j = 0; j < config.replays; ++j) {
     const std::size_t i = j * size / config.replays;
-    const auto id = static_cast<std::uint32_t>(1'000'000 + j);
     // Phase 3 is a difference of times, so with few requests each one is
     // solved and replayed several times, alternately, and the fastest of
     // each phase is kept.
@@ -246,15 +235,13 @@ Report run_loop(const Options& opt, const LoopConfig& config) {
     for (unsigned rep = 0; rep < config.replay_reps; ++rep) {
       const std::unique_ptr<Diagnoser> diagnoser =
           make_calibrated<GV>(cal, options);
-      const std::uint32_t span = tracer.open(kDiagnose, id);
+      const std::uint32_t span = tracer.open(kDiagnose);
       const DiagnosisResult r = diagnoser->diagnose(pool.oracles[i]);
-      tracer.close(span, r.lookups);
-      check(report, r, pool.faults[i], i);
-      const std::uint32_t parent = tracer.open(kReplay, id);
+      tracer.close(span);
+      check(r, i, i);
       const ReplayTimes t = replay_phases(probe, final_run, view,
                                           cal->partition, pool.oracles[i], r,
-                                          tracer, id, parent, replay, report);
-      tracer.close(parent);
+                                          tracer, i, replay, report);
       const bool first = rep == 0;
       diagnose_us = first ? tracer.span_us(span)
                           : std::min(diagnose_us, tracer.span_us(span));
@@ -265,9 +252,6 @@ Report run_loop(const Options& opt, const LoopConfig& config) {
   }
   replay.fill(m);
   m.emit(report);
-  if (!opt.trace_file.empty() && !tracer.write(opt.trace_file)) {
-    report.wrong("could not write spans to " + opt.trace_file);
-  }
   return report;
 }
 
@@ -276,18 +260,21 @@ Report run_loop(const Options& opt, const LoopConfig& config) {
 Report run_online_lazy(const Options& opt) {
   LoopConfig config;
   config.spec = "hypercube 12";
-  config.setups = 15;
+  // One request per fault count and behaviour: a small pool is measured in
+  // many passes, and its inputs stay in cache while the host's load shifts.
   config.warmup = 64;
-  config.replays = 208;
+  config.replays = 52;
+  config.replay_reps = 4;
   return run_loop<Graph>(opt, config);
 }
 
 Report run_scale_implicit(const Options& opt) {
   LoopConfig config;
   config.spec = "hypercube 20";
-  config.setups = 3;
+  // A set-up (~4 s) outlasts a pass of the pool (~1.5 s): alternate them.
+  config.setup_share = 1.0;
   config.at_bound = true;
-  config.pool = 8;
+  config.pool = 4;
   config.warmup = 1;
   config.replays = 2;
   config.replay_reps = 3;

@@ -49,6 +49,42 @@ void DriverReplay::fill(LayerMetrics& m) const {
   m.boundary_us = boundary_us / t;
 }
 
+void check_answer(Report& report, const mmdiag::DiagnosisResult& result,
+                  const std::vector<mmdiag::Node>& truth, std::size_t request) {
+  if (!report.answer(result.success, result.faults == truth)) {
+    report.wrong("request " + std::to_string(request) + ": diagnosed " +
+                 std::to_string(result.faults.size()) + " faults, expected " +
+                 std::to_string(truth.size()));
+  }
+}
+
+void measure_engine(mmdiag::DiagnosisEngine& engine,
+                    const std::vector<std::string>& specs,
+                    const mmdiag::DiagnoserOptions& options, LayerMetrics& m) {
+  const mmdiag::EngineCounters counters = engine.counters();
+  m.cache_hit_ratio = ratio(static_cast<double>(counters.hits),
+                            static_cast<double>(counters.hits + counters.misses));
+  std::vector<double> lookup_ns;
+  std::vector<double> build_us;
+  for (int rep = 0; rep < 256; ++rep) {
+    for (const std::string& spec : specs) {
+      const std::int64_t t0 = now_ns();
+      (void)engine.calibration(spec, options.delta, options.rule,
+                               options.validate_all_components);
+      lookup_ns.push_back(static_cast<double>(now_ns() - t0));
+    }
+  }
+  for (int rep = 0; rep < 32; ++rep) {
+    for (const std::string& spec : specs) {
+      const std::int64_t t0 = now_ns();
+      (void)engine.make_diagnoser(spec, options);
+      build_us.push_back(static_cast<double>(now_ns() - t0) * 1e-3);
+    }
+  }
+  m.warm_lookup_ns = median(lookup_ns);
+  m.diagnoser_build_us = median(build_us);
+}
+
 void replay_calibration(const std::string& spec, unsigned delta,
                         mmdiag::GraphMode mode, LayerMetrics& m) {
   std::unique_ptr<const mmdiag::Topology> topology =

@@ -20,6 +20,7 @@
 #include "core/diagnoser.hpp"
 #include "core/set_builder.hpp"
 #include "engine/calibration.hpp"
+#include "engine/engine.hpp"
 
 namespace perfbench {
 
@@ -96,17 +97,16 @@ struct ReplayTimes {
 /// Replays `result` — the Diagnoser's answer for `oracle` — as its probe
 /// runs and final run on the caller's builders (`probe` under the
 /// calibration rule, `final_run` under the diagnoser's final rule). Records
-/// one span per Set_Builder run under `parent`, adds the counts to `out`,
-/// reports every accounting mismatch as a wrong answer, and returns the
-/// runs' times.
+/// one span per Set_Builder run, adds the counts to `out`, reports every
+/// accounting mismatch of request `request` as a wrong answer, and returns
+/// the runs' times.
 template <class O, class GV>
 ReplayTimes replay_phases(mmdiag::SetBuilder& probe,
                           mmdiag::SetBuilder& final_run, const GV& graph,
                           const mmdiag::CertifiedPartition& partition,
                           const O& oracle, const mmdiag::DiagnosisResult& result,
-                          Tracer& tracer, std::uint32_t request,
-                          std::uint32_t parent, DriverReplay& out,
-                          Report& report) {
+                          Tracer& tracer, std::size_t request,
+                          DriverReplay& out, Report& report) {
   const mmdiag::PartitionPlan& plan = *partition.plan;
   const unsigned delta = partition.delta;
   const std::uint32_t probe_name = tracer.name("set_builder.run_restricted");
@@ -122,10 +122,10 @@ ReplayTimes replay_phases(mmdiag::SetBuilder& probe,
   for (std::size_t c = 0; c < max_probes && !found; ++c) {
     const auto comp = static_cast<std::uint32_t>(c);
     oracle.reset_lookups();
-    const std::uint32_t span = tracer.open(probe_name, request, parent);
+    const std::uint32_t span = tracer.open(probe_name);
     const auto run =
         probe.run_restricted(oracle, plan.seed_of(c), delta, plan, comp);
-    tracer.close(span, oracle.lookups());
+    tracer.close(span);
     times.probe_us += tracer.span_us(span);
     probe_lookups += oracle.lookups();
     ++probes;
@@ -145,9 +145,9 @@ ReplayTimes replay_phases(mmdiag::SetBuilder& probe,
   }
 
   oracle.reset_lookups();
-  const std::uint32_t span = tracer.open(final_name, request, parent);
+  const std::uint32_t span = tracer.open(final_name);
   const auto full = final_run.run(oracle, plan.seed_of(certified), delta);
-  tracer.close(span, oracle.lookups());
+  tracer.close(span);
   const std::uint64_t final_lookups = oracle.lookups();
   times.final_us = tracer.span_us(span);
 
@@ -174,6 +174,18 @@ ReplayTimes replay_phases(mmdiag::SetBuilder& probe,
   out.final_lookups += final_lookups;
   return times;
 }
+
+/// Counts one answer: a successful one must name exactly `truth`, or the
+/// run fails.
+void check_answer(Report& report, const mmdiag::DiagnosisResult& result,
+                  const std::vector<mmdiag::Node>& truth, std::size_t request);
+
+/// The engine's own entry points on a warm engine: the calibration cache
+/// hit ratio so far, then a warm calibration() and a make_diagnoser() per
+/// spec under `options`, repeated, as medians.
+void measure_engine(mmdiag::DiagnosisEngine& engine,
+                    const std::vector<std::string>& specs,
+                    const mmdiag::DiagnoserOptions& options, LayerMetrics& m);
 
 /// Rebuilds one MM* calibration outside the engine — the graph (or implicit
 /// view) on its own, then build_calibration — and adds its cost to `m`.

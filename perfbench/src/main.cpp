@@ -1,7 +1,7 @@
 // perfbench — the engine benchmark.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
-//             [--commit SHA] [--trace-file PATH]
+//             [--commit SHA]
 //
 // Workloads: serve-batch, online-lazy, scale-implicit, churn-online (see
 // perfbench/README.md). Prints the run metadata, every metric by name with
@@ -48,7 +48,7 @@ std::string compiler() {
 int usage() {
   std::cerr << "usage: perfbench --workload serve-batch|online-lazy|"
                "scale-implicit|churn-online --seed N --seconds S --trace 0|1 "
-               "[--commit SHA] [--trace-file PATH]\n";
+               "[--commit SHA]\n";
   return 2;
 }
 
@@ -85,8 +85,6 @@ int main(int argc, char** argv) {
         opt.trace = value == "1";
       } else if (arg == "--commit") {
         opt.commit = value;
-      } else if (arg == "--trace-file") {
-        opt.trace_file = value;
       } else {
         return usage();
       }
@@ -121,7 +119,9 @@ int main(int argc, char** argv) {
             << " compiler=\"" << compiler() << "\" commit=" << opt.commit
             << "\n";
   for (const auto& m : report.metrics()) {
-    std::cout << m.name << " = " << number(m.value) << " " << m.unit << "\n";
+    std::cout << m.name << " = " << number(m.value) << " " << m.unit;
+    if (!m.detail.empty()) std::cout << "  (" << m.detail << ")";
+    std::cout << "\n";
   }
   for (const auto& m : report.notes()) {
     std::cout << "  (" << m.name << " = " << number(m.value) << " " << m.unit

@@ -5,9 +5,9 @@
 // syndromes on hypercube 10, hypercube 12, star 7 and kary_ncube 5 4 (per-spec
 // counts are not multiples of 64, so a scalar remainder always exists), and
 // one request in sixteen directed — PMC global solves on hypercube 10 and BGM
-// local_node requests on hypercube 12. The order is drawn from the seed. |F| cycles 0..δ per stream under all four faulty
-// behaviours. The client serves the whole batch per call, back to back;
-// latency is per serve() call.
+// local_node requests on hypercube 12. The order is drawn from the seed. |F|
+// cycles 0..δ per stream under all four faulty behaviours. The client serves
+// the whole batch per call, back to back; latency is per serve() call.
 #include <algorithm>
 #include <array>
 #include <deque>
@@ -42,7 +42,9 @@ constexpr std::size_t kBgmInstance = 1;  // hypercube 12
 // directed.
 constexpr std::array<std::size_t, 6> kStreamSizes = {250, 230, 240, 240, 32, 32};
 constexpr std::size_t kBatch = 1024;
-constexpr unsigned kSetups = 15;
+// Cold set-ups run between passes while they have taken less than this
+// share of the pass time.
+constexpr double kSetupShare = 0.2;
 constexpr std::size_t kCohort = BitSlicedOracle::kMaxLanes;
 
 enum class Kind : std::uint8_t { kMm, kPmc, kBgmLocal };
@@ -136,18 +138,11 @@ void make_batch(Batch& b, std::uint64_t seed) {
   }
 }
 
-void check(Report& report, const Batch& b, std::size_t i,
-           const DiagnosisResult& r) {
-  if (!report.answer(r.success, r.faults == b.truth[i])) {
-    report.wrong("request " + std::to_string(i) + " (" + b.requests[i].spec +
-                 "): diagnosed " + std::to_string(r.faults.size()) +
-                 " faults, expected " + std::to_string(b.truth[i].size()));
-  }
-}
-
 void check_all(Report& report, const Batch& b,
                const std::vector<DiagnosisResult>& results) {
-  for (std::size_t i = 0; i < results.size(); ++i) check(report, b, i, results[i]);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    check_answer(report, results[i], b.truth[i], i);
+  }
 }
 
 double setup_once(std::unique_ptr<DiagnosisEngine>& engine, unsigned lanes) {
@@ -181,172 +176,198 @@ std::shared_ptr<const Calibration> calibration_of(DiagnosisEngine& engine,
   return nullptr;
 }
 
-/// The per-layer replay of one batch at one lane, on `engine`'s
-/// calibrations: cohorts, scalar solves and directed requests through the
-/// same public calls serve() makes, then every MM* request's §5 replay.
-void replay_layers(DiagnosisEngine& engine, const Batch& b, double serve1_us,
-                   Tracer& tracer, LayerMetrics& m, Report& report) {
-  const std::uint32_t kCal = tracer.name("engine.calibration");
-  const std::uint32_t kCohortSolve = tracer.name("diagnoser.diagnose_cohort");
-  const std::uint32_t kScalar = tracer.name("diagnoser.diagnose");
-  const std::uint32_t kDirected = tracer.name("directed.diagnose");
-  const std::uint32_t kLocal = tracer.name("bgm_local_diagnose");
-  const std::uint32_t kReplay = tracer.name("replay");
-
-  std::vector<std::unique_ptr<Diagnoser>> diagnosers;
-  for (const Instance& in : b.instances) {
-    diagnosers.push_back(engine.make_diagnoser(in.spec));
-  }
-  const auto pmc_cal = engine.calibration(kSpecs[kPmcInstance], 0,
-                                          ParentRule::kSpread, true,
-                                          DiagnosisModel::kPMC);
-  const auto bgm_cal = engine.calibration(kSpecs[kBgmInstance], 0,
-                                          ParentRule::kSpread, true,
-                                          DiagnosisModel::kBGM);
-  DirectedDiagnoser pmc(pmc_cal->graph, pmc_cal->delta());
-  DirectedDiagnoser bgm(bgm_cal->graph, bgm_cal->delta());
-
-  // Cohorts exactly as serve() forms them: full 64-wide runs of same-spec
-  // table requests in request order; the rest are scalar items.
-  std::vector<std::vector<std::size_t>> by_instance(b.instances.size());
-  for (std::size_t i = 0; i < b.requests.size(); ++i) {
-    if (b.kind[i] == Kind::kMm) by_instance[b.instance[i]].push_back(i);
-  }
-  std::vector<std::vector<std::size_t>> cohorts;
-  std::vector<char> in_cohort(b.requests.size(), 0);
-  for (const auto& idx : by_instance) {
-    for (std::size_t k = 0; k + kCohort <= idx.size(); k += kCohort) {
-      cohorts.emplace_back(idx.begin() + k, idx.begin() + k + kCohort);
-      for (const std::size_t i : cohorts.back()) in_cohort[i] = 1;
+/// serve()'s work on one batch, done at one lane through the public calls
+/// serve() makes, on `engine`'s calibrations: a warm calibration look-up per
+/// request, diagnose_cohort on full 64-wide runs of same-spec table
+/// requests, scalar diagnose on the rest, and bgm_local_diagnose with a
+/// DirectedDiagnoser fallback for directed requests.
+class LayerPath {
+ public:
+  LayerPath(DiagnosisEngine& engine, const Batch& b, Tracer& tracer)
+      : engine_(engine),
+        b_(b),
+        tracer_(tracer),
+        pmc_cal_(engine.calibration(kSpecs[kPmcInstance], 0,
+                                    ParentRule::kSpread, true,
+                                    DiagnosisModel::kPMC)),
+        bgm_cal_(engine.calibration(kSpecs[kBgmInstance], 0,
+                                    ParentRule::kSpread, true,
+                                    DiagnosisModel::kBGM)),
+        pmc_(pmc_cal_->graph, pmc_cal_->delta()),
+        bgm_(bgm_cal_->graph, bgm_cal_->delta()),
+        by_instance_(b.instances.size()),
+        in_cohort_(b.requests.size(), 0) {
+    for (const Instance& in : b.instances) {
+      diagnosers_.push_back(engine.make_diagnoser(in.spec));
+    }
+    for (std::size_t i = 0; i < b.requests.size(); ++i) {
+      if (b.kind[i] == Kind::kMm) by_instance_[b.instance[i]].push_back(i);
+    }
+    for (const auto& idx : by_instance_) {
+      for (std::size_t k = 0; k + kCohort <= idx.size(); k += kCohort) {
+        cohorts_.emplace_back(idx.begin() + k, idx.begin() + k + kCohort);
+        for (const std::size_t i : cohorts_.back()) in_cohort_[i] = 1;
+      }
     }
   }
 
-  std::vector<DiagnosisResult> results(b.requests.size());
-  std::vector<double> diagnose_us(b.requests.size(), 0);
-  double layer_us = 0;
-  double cohort_us = 0;
-  std::size_t definite = 0;
-  std::size_t local = 0;
-  auto calibration_span = [&](std::size_t i) {
-    const auto id = static_cast<std::uint32_t>(i + 1);
-    const std::uint32_t span = tracer.open(kCal, id);
-    (void)calibration_of(engine, b, i);
-    tracer.close(span);
-    layer_us += tracer.span_us(span);
-  };
-
-  for (std::size_t c = 0; c < cohorts.size(); ++c) {
-    std::vector<const TableOracle*> lanes;
-    for (const std::size_t i : cohorts[c]) {
-      calibration_span(i);
-      lanes.push_back(static_cast<const TableOracle*>(b.requests[i].oracle));
+  /// One pass over the batch. Returns the summed time of the layer spans
+  /// (0 while the tracer is disabled).
+  double solve(std::vector<DiagnosisResult>& results) {
+    results.assign(b_.requests.size(), DiagnosisResult{});
+    layer_us_ = 0;
+    local_ = definite_ = 0;
+    for (const auto& cohort : cohorts_) {
+      std::vector<const TableOracle*> lanes;
+      for (const std::size_t i : cohort) {
+        calibration_span(i);
+        lanes.push_back(table(i));
+      }
+      const std::uint32_t span = tracer_.open(kCohortSolve);
+      std::vector<DiagnosisResult> res =
+          diagnosers_[b_.instance[cohort.front()]]->diagnose_cohort(lanes);
+      tracer_.close(span);
+      layer_us_ += tracer_.span_us(span);
+      for (std::size_t k = 0; k < lanes.size(); ++k) {
+        results[cohort[k]] = std::move(res[k]);
+      }
     }
-    Diagnoser& d = *diagnosers[b.instance[cohorts[c].front()]];
-    const auto id = static_cast<std::uint32_t>(kBatch + c + 1);
-    const std::uint32_t span = tracer.open(kCohortSolve, id);
-    std::vector<DiagnosisResult> res = d.diagnose_cohort(lanes);
-    tracer.close(span, lanes.size());
-    layer_us += tracer.span_us(span);
-    cohort_us += tracer.span_us(span);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      results[cohorts[c][k]] = std::move(res[k]);
+    for (std::size_t i = 0; i < b_.requests.size(); ++i) {
+      if (in_cohort_[i] == 0) solve_one(i, results[i]);
     }
+    return layer_us_;
   }
-  for (std::size_t i = 0; i < b.requests.size(); ++i) {
-    if (in_cohort[i] != 0) continue;
+
+  [[nodiscard]] const std::vector<std::vector<std::size_t>>& cohorts() const {
+    return cohorts_;
+  }
+  [[nodiscard]] bool in_cohort(std::size_t i) const {
+    return in_cohort_[i] != 0;
+  }
+  [[nodiscard]] const std::vector<std::size_t>& requests_of(
+      std::size_t instance) const {
+    return by_instance_[instance];
+  }
+  [[nodiscard]] Diagnoser& diagnoser(std::size_t i) const {
+    return *diagnosers_[b_.instance[i]];
+  }
+  [[nodiscard]] const TableOracle* table(std::size_t i) const {
+    return static_cast<const TableOracle*>(b_.requests[i].oracle);
+  }
+  [[nodiscard]] double local_definite_ratio() const {
+    return ratio(static_cast<double>(definite_), static_cast<double>(local_));
+  }
+
+ private:
+  void calibration_span(std::size_t i) {
+    const std::uint32_t span = tracer_.open(kCal);
+    (void)calibration_of(engine_, b_, i);
+    tracer_.close(span);
+    layer_us_ += tracer_.span_us(span);
+  }
+
+  void solve_one(std::size_t i, DiagnosisResult& result) {
     calibration_span(i);
-    const auto id = static_cast<std::uint32_t>(i + 1);
-    const EngineRequest& rq = b.requests[i];
-    if (b.kind[i] == Kind::kMm) {
-      const std::uint32_t span = tracer.open(kScalar, id);
-      results[i] = diagnosers[b.instance[i]]->diagnose(
-          *static_cast<const TableOracle*>(rq.oracle));
-      tracer.close(span, results[i].lookups);
-      diagnose_us[i] = tracer.span_us(span);
-      layer_us += diagnose_us[i];
-      continue;
+    const EngineRequest& rq = b_.requests[i];
+    if (b_.kind[i] == Kind::kMm) {
+      const std::uint32_t span = tracer_.open(kScalar);
+      result = diagnoser(i).diagnose(*table(i));
+      tracer_.close(span);
+      layer_us_ += tracer_.span_us(span);
+      return;
     }
-    DirectedDiagnoser& solver = b.kind[i] == Kind::kPmc ? pmc : bgm;
-    if (b.kind[i] == Kind::kBgmLocal) {
-      ++local;
-      const std::uint32_t span = tracer.open(kLocal, id);
+    if (b_.kind[i] == Kind::kBgmLocal) {
+      ++local_;
+      const std::uint32_t span = tracer_.open(kLocal);
       const LocalDiagnosisResult answer =
-          bgm_local_diagnose(bgm_cal->graph, *rq.directed, rq.local_node);
-      tracer.close(span, answer.lookups);
-      layer_us += tracer.span_us(span);
+          bgm_local_diagnose(bgm_cal_->graph, *rq.directed, rq.local_node);
+      tracer_.close(span);
+      layer_us_ += tracer_.span_us(span);
       if (answer.status != LocalDiagnosisStatus::kUnknown) {
-        ++definite;
-        results[i].success = true;
+        ++definite_;
+        result.success = true;
         if (answer.status == LocalDiagnosisStatus::kFaulty) {
-          results[i].faults.push_back(rq.local_node);
+          result.faults.push_back(rq.local_node);
         }
-        continue;
+        return;
       }
     }
-    const std::uint32_t span = tracer.open(kDirected, id);
-    results[i] = solver.diagnose(*rq.directed);
-    tracer.close(span, results[i].lookups);
-    layer_us += tracer.span_us(span);
-    if (b.kind[i] == Kind::kBgmLocal && results[i].success) {
-      const bool faulty = std::binary_search(results[i].faults.begin(),
-                                             results[i].faults.end(),
-                                             rq.local_node);
-      results[i].faults.clear();
-      if (faulty) results[i].faults.push_back(rq.local_node);
-    }
-  }
-  check_all(report, b, results);
-
-  // The same 64 syndromes of every cohort, solved one by one.
-  double scalar_us = 0;
-  for (const auto& cohort : cohorts) {
-    for (const std::size_t i : cohort) {
-      const std::uint32_t span =
-          tracer.open(kScalar, static_cast<std::uint32_t>(i + 1));
-      const DiagnosisResult r = diagnosers[b.instance[i]]->diagnose(
-          *static_cast<const TableOracle*>(b.requests[i].oracle));
-      tracer.close(span, r.lookups);
-      diagnose_us[i] = tracer.span_us(span);
-      scalar_us += diagnose_us[i];
-      const DiagnosisResult& lane = results[i];
-      if (r.success != lane.success || r.faults != lane.faults ||
-          r.lookups != lane.lookups || r.probes != lane.probes) {
-        report.wrong("request " + std::to_string(i) +
-                     ": cohort lane differs from its scalar solve");
-      }
+    const std::uint32_t span = tracer_.open(kDirected);
+    result = (b_.kind[i] == Kind::kPmc ? pmc_ : bgm_).diagnose(*rq.directed);
+    tracer_.close(span);
+    layer_us_ += tracer_.span_us(span);
+    if (b_.kind[i] == Kind::kBgmLocal && result.success) {
+      const bool faulty = std::binary_search(
+          result.faults.begin(), result.faults.end(), rq.local_node);
+      result.faults.clear();
+      if (faulty) result.faults.push_back(rq.local_node);
     }
   }
 
-  // Every MM* request's §5 phases, replayed on per-spec builders.
+  DiagnosisEngine& engine_;
+  const Batch& b_;
+  Tracer& tracer_;
+  std::shared_ptr<const Calibration> pmc_cal_;
+  std::shared_ptr<const Calibration> bgm_cal_;
+  DirectedDiagnoser pmc_;
+  DirectedDiagnoser bgm_;
+  std::vector<std::unique_ptr<Diagnoser>> diagnosers_;
+  std::vector<std::vector<std::size_t>> by_instance_;
+  std::vector<std::vector<std::size_t>> cohorts_;
+  std::vector<char> in_cohort_;
+  double layer_us_ = 0;
+  std::size_t local_ = 0;
+  std::size_t definite_ = 0;
+
+ public:
+  // Span names; declared after tracer_, which they are interned in.
+  const std::uint32_t kCal = tracer_.name("engine.calibration");
+  const std::uint32_t kCohortSolve = tracer_.name("diagnoser.diagnose_cohort");
+  const std::uint32_t kScalar = tracer_.name("diagnoser.diagnose");
+  const std::uint32_t kDirected = tracer_.name("directed.diagnose");
+  const std::uint32_t kLocal = tracer_.name("bgm_local_diagnose");
+};
+
+/// Every MM* request solved one by one — the cohort lanes must equal their
+/// scalar solves — and then replayed as its §5 phases on per-spec builders.
+void replay_requests(DiagnosisEngine& engine, const Batch& b,
+                     LayerPath& path,
+                     const std::vector<DiagnosisResult>& results,
+                     Tracer& tracer, LayerMetrics& m, Report& report) {
+  std::vector<double> diagnose_us(b.requests.size(), 0);
+  double cohort_scalar_us = 0;
+  for (std::size_t i = 0; i < b.requests.size(); ++i) {
+    if (b.kind[i] != Kind::kMm) continue;
+    const std::uint32_t span = tracer.open(path.kScalar);
+    const DiagnosisResult r = path.diagnoser(i).diagnose(*path.table(i));
+    tracer.close(span);
+    diagnose_us[i] = tracer.span_us(span);
+    if (path.in_cohort(i)) cohort_scalar_us += diagnose_us[i];
+    const DiagnosisResult& lane = results[i];
+    if (r.success != lane.success || r.faults != lane.faults ||
+        r.lookups != lane.lookups || r.probes != lane.probes) {
+      report.wrong("request " + std::to_string(i) +
+                   ": layer answer differs from its scalar solve");
+    }
+  }
+  const std::size_t cohort_syndromes = path.cohorts().size() * kCohort;
+  m.cohort_vs_scalar =
+      ratio(cohort_scalar_us / static_cast<double>(cohort_syndromes),
+            m.cohort_us_per_syndrome);
+
   DriverReplay replay;
   for (std::size_t inst = 0; inst < b.instances.size(); ++inst) {
     const auto cal = engine.calibration(b.instances[inst].spec);
     SetBuilder probe(cal->graph, cal->rule());
-    SetBuilder final_run(cal->graph,
-                         engine.options().diagnoser.final_rule);
-    for (const std::size_t i : by_instance[inst]) {
-      const auto id = static_cast<std::uint32_t>(i + 1);
-      const std::uint32_t parent = tracer.open(kReplay, id);
-      const ReplayTimes t = replay_phases(
-          probe, final_run, cal->graph, cal->partition,
-          *static_cast<const TableOracle*>(b.requests[i].oracle), results[i],
-          tracer, id, parent, replay, report);
+    SetBuilder final_run(cal->graph, engine.options().diagnoser.final_rule);
+    for (const std::size_t i : path.requests_of(inst)) {
+      const ReplayTimes t =
+          replay_phases(probe, final_run, cal->graph, cal->partition,
+                        *path.table(i), results[i], tracer, i, replay, report);
       replay.add_times(diagnose_us[i], t.probe_us, t.final_us);
-      tracer.close(parent);
     }
   }
   replay.fill(m);
-
-  const std::size_t cohort_syndromes = cohorts.size() * kCohort;
-  m.cohort_us_per_syndrome =
-      ratio(cohort_us, static_cast<double>(cohort_syndromes));
-  m.cohort_vs_scalar = ratio(scalar_us, cohort_us);
-  m.directed_solve_us = mean(tracer.durations_us(kDirected));
-  m.directed_local_ns = mean(tracer.durations_us(kLocal)) * 1e3;
-  m.local_definite_ratio =
-      ratio(static_cast<double>(definite), static_cast<double>(local));
-  m.trace_coverage = ratio(layer_us, serve1_us);
-  report.note("replay_cohorts", static_cast<double>(cohorts.size()), "count");
 }
 
 }  // namespace
@@ -359,33 +380,30 @@ Report run_serve_batch(const Options& opt) {
   make_batch(b, opt.seed);
 
   std::unique_ptr<DiagnosisEngine> engine;
-  std::vector<double> setups;
-  for (unsigned i = 0; i < (opt.trace ? 1 : kSetups); ++i) {
-    setups.push_back(setup_once(engine, lanes));
-  }
+  (void)setup_once(engine, lanes);
   for (int warm = 0; warm < 2; ++warm) {
     check_all(report, b, engine->serve(b.requests));
   }
-  const std::int64_t deadline =
-      now_ns() + static_cast<std::int64_t>(opt.seconds * 1e9);
 
   if (!opt.trace) {
-    std::vector<double> latencies;
+    Timeline timeline;
+    std::unique_ptr<DiagnosisEngine> cold;  // set-ups only
     double lookups = 0;
-    while (now_ns() < deadline) {
-      const std::int64_t t0 = now_ns();
-      const std::vector<DiagnosisResult> results = engine->serve(b.requests);
-      const std::int64_t t1 = now_ns();
-      latencies.push_back(static_cast<double>(t1 - t0) * 1e-3);
-      check_all(report, b, results);
-      if (lookups == 0) {
-        for (const DiagnosisResult& r : results) {
-          lookups += static_cast<double>(r.lookups);
-        }
-      }
-    }
-    report.metric("setup_s", median(setups), "s");
-    report_timings(report, latencies, {}, kBatch);
+    timeline.measure(
+        opt.seconds, kSetupShare,
+        [&](Timeline& t) {
+          const std::int64_t t0 = now_ns();
+          const std::vector<DiagnosisResult> results = engine->serve(b.requests);
+          t.op(static_cast<double>(now_ns() - t0) * 1e-3);
+          check_all(report, b, results);
+          if (lookups == 0) {
+            for (const DiagnosisResult& r : results) {
+              lookups += static_cast<double>(r.lookups);
+            }
+          }
+        },
+        [&] { return setup_once(cold, lanes); });
+    timeline.report(report, kBatch);
     report.metric("lookups_per_request", lookups / kBatch, "count");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
     report.note("batch_requests", kBatch, "count");
@@ -394,55 +412,16 @@ Report run_serve_batch(const Options& opt) {
     return report;
   }
 
-  // Traced run, part 1: untraced and traced serve() calls alternate.
-  Tracer tracer;
-  const std::uint32_t kServe = tracer.name("engine.serve");
-  double untraced_us = 0;
-  for (std::uint32_t k = 1; now_ns() < deadline; ++k) {
-    for (int pass = 0; pass < 2; ++pass) {
-      if ((pass == 0) == (k % 2 == 0)) {
-        const std::int64_t t0 = now_ns();
-        const auto results = engine->serve(b.requests);
-        untraced_us += static_cast<double>(now_ns() - t0) * 1e-3;
-        check_all(report, b, results);
-      } else {
-        const std::uint32_t span = tracer.open(kServe, k);
-        const auto results = engine->serve(b.requests);
-        tracer.close(span, kBatch);
-        check_all(report, b, results);
-      }
-    }
-  }
+  // Traced run, part 1: the engine's own entry points, and the calibrations
+  // rebuilt outside it.
   LayerMetrics m;
-  m.trace_overhead = ratio(untraced_us, tracer.total_us(kServe));
-  const EngineCounters counters = engine->counters();
-  m.cache_hit_ratio = ratio(static_cast<double>(counters.hits),
-                            static_cast<double>(counters.hits + counters.misses));
-
-  // Part 2: engine entry points on their own.
-  std::vector<double> lookup_ns;
-  std::vector<double> build_us;
-  for (int rep = 0; rep < 250; ++rep) {
-    for (const char* spec : kSpecs) {
-      const std::int64_t t0 = now_ns();
-      (void)engine->calibration(spec);
-      lookup_ns.push_back(static_cast<double>(now_ns() - t0));
-    }
-  }
-  for (int rep = 0; rep < 25; ++rep) {
-    for (const char* spec : kSpecs) {
-      const std::int64_t t0 = now_ns();
-      (void)engine->make_diagnoser(spec);
-      build_us.push_back(static_cast<double>(now_ns() - t0) * 1e-3);
-    }
-  }
-  m.warm_lookup_ns = median(lookup_ns);
-  m.diagnoser_build_us = median(build_us);
+  measure_engine(*engine, {kSpecs.begin(), kSpecs.end()},
+                 engine->options().diagnoser, m);
   for (const char* spec : kSpecs) {
     replay_calibration(spec, 0, GraphMode::kCsr, m);
   }
 
-  // Part 3: the thread pool — the same batch at every lane and at one,
+  // Part 2: the thread pool — the same batch at every lane and at one,
   // alternately.
   std::unique_ptr<DiagnosisEngine> single;
   (void)setup_once(single, 1);
@@ -462,12 +441,48 @@ Report run_serve_batch(const Options& opt) {
   m.pool_speedup = ratio(median(one_us), median(wide_us));
   m.pool_efficiency = m.pool_speedup / lanes;
 
-  // Part 4: the one-lane batch replayed layer by layer.
-  replay_layers(*single, b, median(one_us), tracer, m, report);
-  m.emit(report);
-  if (!opt.trace_file.empty() && !tracer.write(opt.trace_file)) {
-    report.wrong("could not write spans to " + opt.trace_file);
+  // Part 3: serve()'s work at one lane through the layers, for --seconds,
+  // with span recording on and off alternately.
+  Tracer tracer;
+  LayerPath path(*single, b, tracer);
+  std::vector<DiagnosisResult> results;
+  double on_us = 0;
+  double off_us = 0;
+  double layer_us = 0;
+  std::size_t traced_passes = 0;
+  const std::int64_t deadline =
+      now_ns() + static_cast<std::int64_t>(opt.seconds * 1e9);
+  for (std::size_t k = 0; now_ns() < deadline; ++k) {
+    for (int pass = 0; pass < 2; ++pass) {
+      const bool on = (pass == 0) == (k % 2 == 0);
+      tracer.enable(on);
+      const std::int64_t t0 = now_ns();
+      const double spans_us = path.solve(results);
+      const double us = static_cast<double>(now_ns() - t0) * 1e-3;
+      (on ? on_us : off_us) += us;
+      if (on) {
+        layer_us += spans_us;
+        ++traced_passes;
+      }
+      check_all(report, b, results);
+    }
   }
+  tracer.enable(true);
+  m.trace_overhead = ratio(off_us, on_us);
+  m.trace_coverage =
+      ratio(layer_us / static_cast<double>(traced_passes), median(one_us));
+  m.cohort_us_per_syndrome =
+      mean(tracer.durations_us(path.kCohortSolve)) / kCohort;
+  m.directed_solve_us = mean(tracer.durations_us(path.kDirected));
+  m.directed_local_ns = mean(tracer.durations_us(path.kLocal)) * 1e3;
+  m.local_definite_ratio = path.local_definite_ratio();
+
+  // Part 4: scalar solves and the §5 replay of every MM* request.
+  replay_requests(*single, b, path, results, tracer, m, report);
+  m.emit(report);
+  report.note("replay_cohorts", static_cast<double>(path.cohorts().size()),
+              "count");
+  report.note("traced_passes", static_cast<double>(traced_passes), "count");
   return report;
 }
 
