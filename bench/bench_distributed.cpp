@@ -31,7 +31,7 @@ void BM_DistOurs(benchmark::State& state) {
   state.counters["rounds"] = static_cast<double>(cost.rounds);
   state.counters["messages"] = static_cast<double>(cost.messages);
   ExperimentTable::get().add_row(
-      {"Q" + std::to_string(n), "set_builder (ours)",
+      {inst.topo->info().name, "set_builder (ours)",
        Table::num(inst.graph.num_nodes()), Table::num(cost.rounds),
        Table::num(cost.messages), Table::num(cost.local_work),
        cost.success ? "yes" : "NO"});
@@ -53,7 +53,7 @@ void BM_DistProtocol(benchmark::State& state) {
   state.counters["rounds"] = static_cast<double>(stats.rounds);
   state.counters["messages"] = static_cast<double>(stats.messages);
   ExperimentTable::get().add_row(
-      {"Q" + std::to_string(n), "set_builder (simulated)",
+      {inst.topo->info().name, "set_builder (simulated)",
        Table::num(inst.graph.num_nodes()), Table::num(stats.rounds),
        Table::num(stats.messages), Table::num(stats.lookups),
        stats.success ? "yes" : "NO"});
@@ -74,7 +74,7 @@ void BM_DistChiangTan(benchmark::State& state) {
   state.counters["rounds"] = static_cast<double>(cost.rounds);
   state.counters["messages"] = static_cast<double>(cost.messages);
   ExperimentTable::get().add_row(
-      {"Q" + std::to_string(n), "chiang_tan",
+      {inst.topo->info().name, "chiang_tan",
        Table::num(inst.graph.num_nodes()), Table::num(cost.rounds),
        Table::num(cost.messages), Table::num(cost.local_work),
        cost.success ? "yes" : "NO"});

@@ -24,7 +24,8 @@ void report(benchmark::State& state, const std::string& algorithm, unsigned n,
   state.counters["lookups"] = static_cast<double>(result.lookups);
   state.counters["t_norm_ns"] = seconds_per_op * 1e9 / (n * nodes);
   ExperimentTable::get().add_row(
-      {("Q" + std::to_string(n)), algorithm, Table::num(std::uint64_t(nodes)),
+      {std::string(1, 'Q').append(std::to_string(n)), algorithm,
+       Table::num(std::uint64_t(nodes)),
        Table::num(seconds_per_op * 1e3, 3),
        Table::num(seconds_per_op * 1e9 / (n * nodes), 3),
        Table::num(result.lookups), result.success ? "yes" : "NO"});

@@ -4,7 +4,7 @@
 // writer cannot emit structurally invalid output.
 //
 // Split out of bench_util.hpp so benches that do not use google-benchmark
-// (bench_batch-style sweep drivers, bench_hotpath) can report without
+// (bench_batch-style sweep drivers, bench_scale) can report without
 // pulling in the benchmark library.
 #pragma once
 

@@ -6,9 +6,8 @@
 // fails the run) and lands orders of magnitude above the global solves in
 // requests/sec, which is why the engine serves it ahead of full solves.
 //
-// Not a google-benchmark binary, for the same reason as bench_hotpath and
-// bench_scale: CI asserts the bound fields on images without the benchmark
-// library.
+// Not a google-benchmark binary, for the same reason as bench_scale: CI
+// asserts the bound fields on images without the benchmark library.
 //
 //   bench_models [--smoke] [--out FILE]
 //

@@ -11,8 +11,8 @@
 // views; a divergence fails the run. Larger rows carry csr_checked=false
 // and report the estimated CSR bytes they never allocated.
 //
-// Not a google-benchmark binary, for the same reason as bench_hotpath: CI
-// asserts the equivalence fields on images without the benchmark library.
+// Not a google-benchmark binary: CI asserts the equivalence fields on
+// images without the benchmark library.
 //
 //   bench_scale [--smoke] [--out FILE]
 //

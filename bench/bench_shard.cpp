@@ -17,9 +17,8 @@
 //
 // Rows run ascending by size because peak RSS is process-cumulative.
 //
-// Not a google-benchmark binary, for the same reason as bench_hotpath and
-// bench_scale: CI asserts the identity fields on images without the
-// benchmark library.
+// Not a google-benchmark binary, for the same reason as bench_scale: CI
+// asserts the identity fields on images without the benchmark library.
 //
 //   bench_shard [--smoke] [--out FILE]
 //

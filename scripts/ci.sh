@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verify, exactly as ROADMAP.md specifies:
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
-# followed by a bench smoke (bench_batch on tiny instances must emit a
+# followed by bench smokes (bench_batch on tiny instances must emit a
 # BENCH_batch.json that parses as JSON; skipped if google-benchmark was not
-# found), an engine-cache smoke, a hot-path dispatch-equivalence smoke
-# (bench_hotpath builds without google-benchmark, so it always runs), and a
-# fuzz smoke: 200 deterministic differential cases of the §5 driver against
-# the exact solver. A fuzz divergence exits non-zero and
-# leaves minimized repro files in build/fuzz-repros/ (uploaded as a CI
+# found), an engine-cache smoke, a Release build with its own ctest run, a
+# UBSan pass, and a fuzz smoke: 200 deterministic differential cases of
+# the §5 driver against the exact solver. A fuzz divergence exits non-zero
+# and leaves minimized repro files in build/fuzz-repros/ (uploaded as a CI
 # artifact; check the repro into tests/corpus/ once the bug is fixed).
 #
 # Run from the repository root. Pass extra cmake arguments through, e.g.
@@ -79,33 +78,6 @@ PY
   fi
 else
   echo "engine smoke: bench_engine not built (google-benchmark missing), skipped"
-fi
-
-if [ -x bench/bench_hotpath ]; then
-  # The hot-path smoke must show dispatch equivalence holding: the
-  # statically-dispatched path and the preserved baseline implementation
-  # have to report bit-identical faults AND look-up counts on every row
-  # (the binary itself exits non-zero on divergence; the JSON fields are
-  # re-checked here so a reporting bug cannot mask one).
-  ./bench/bench_hotpath --smoke --out BENCH_hotpath.json
-  if command -v python3 >/dev/null; then
-    python3 - <<'PY'
-import json
-with open("BENCH_hotpath.json") as f:
-    report = json.load(f)
-rows = report["results"]
-assert rows, "BENCH_hotpath.json has no results"
-for r in rows:
-    assert r["identical_faults"], f"dispatch paths disagreed on faults: {r}"
-    assert r["identical_lookups"], f"dispatch paths disagreed on look-up counts: {r}"
-    assert r["identical_accounting"], f"dispatch paths disagreed on accounting: {r}"
-print(f"hotpath smoke: {len(rows)} rows, dispatch paths bit-identical everywhere")
-PY
-  else
-    echo "hotpath smoke: python3 unavailable, JSON validation skipped"
-  fi
-else
-  echo "hotpath smoke: bench_hotpath not built, skipped"
 fi
 
 if [ -x bench/bench_scale ]; then
@@ -281,6 +253,16 @@ print("meta smoke: hardware_threads recorded in every emitted bench report")
 PY
 fi
 
+# Release pass: the default build is RelWithDebInfo, so optimiser-only
+# diagnostics (GCC 12's -Wrestrict on string building, for one) would
+# otherwise surface first in a user's -DCMAKE_BUILD_TYPE=Release build.
+# Warnings stay errors here, and the tier-1 suites run against the -O3
+# NDEBUG code.
+cd ..
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
+cmake --build build-release -j
+(cd build-release && ctest --output-on-failure -j)
+
 # UBSan pass over the word-level kernels the bitsliced path leans on:
 # extract/row_bits/transpose64 shift edge cases trap at runtime under
 # -fsanitize=undefined instead of silently wrapping, and the directed-model
@@ -290,7 +272,6 @@ fi
 # well: the overlay's dead-edge masks, the masked oracle reads and the
 # changed-row bitsets are the same kind of shift-heavy word plumbing. Only
 # the suites that exercise those kernels are built, so the pass stays cheap.
-cd ..
 cmake -B build-ubsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all" \

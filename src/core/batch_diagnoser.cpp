@@ -21,7 +21,7 @@ BatchDiagnoser::BatchDiagnoser(const Topology& topology, const Graph& graph,
 
 BatchDiagnoser::BatchDiagnoser(const Graph& graph, CertifiedPartition partition,
                                BatchOptions options)
-    : graph_(&graph), bitsliced_(options.bitsliced), pool_(options.threads) {
+    : graph_(&graph), pool_(options.threads) {
   // Conflicting options.diagnoser (rule mismatch, non-zero delta disagreeing
   // with partition.delta) are rejected by the first per-lane Diagnoser ctor.
   lanes_.reserve(pool_.size());
@@ -62,7 +62,7 @@ BatchResult BatchDiagnoser::diagnose_all(
   // look-up counts per syndrome are bit-identical, so batch output still
   // matches a sequential Diagnoser exactly.
   std::vector<std::size_t> table_idx;
-  if (bitsliced_ && graph_->max_degree() <= 64) {
+  if (graph_->max_degree() <= 64) {
     for (std::size_t i = 0; i < oracles.size(); ++i) {
       if (dynamic_cast<const TableOracle*>(oracles[i]) != nullptr) {
         table_idx.push_back(i);
@@ -96,10 +96,8 @@ BatchResult BatchDiagnoser::diagnose_all(
             out.results[table_idx[base + k]] = std::move(res[k]);
           }
         } else {
-          // One typeid dispatch per syndrome recovers the devirtualised
-          // solve path behind the type-erased batch interface.
           const std::size_t i = scalar_idx[item - num_cohorts];
-          out.results[i] = diagnose_devirtualized(*lanes_[lane], *oracles[i]);
+          out.results[i] = lanes_[lane]->diagnose(*oracles[i]);
         }
       });
   out.seconds = timer.seconds();

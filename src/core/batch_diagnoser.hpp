@@ -35,14 +35,6 @@ struct BatchOptions {
   unsigned threads = 0;
   /// Per-item diagnosis options, identical to the sequential Diagnoser's.
   DiagnoserOptions diagnoser;
-  /// Solve TableOracle inputs in bitsliced cohorts of 64
-  /// (Diagnoser::diagnose_cohort): full 64-wide runs of table inputs, in
-  /// input order, become one lockstep solve each; the remainder and every
-  /// non-table oracle go through the scalar per-item path. Per-syndrome
-  /// results and look-up counts are bit-identical either way — this is
-  /// purely a throughput knob, on by default; benches switch it off to
-  /// measure the scalar path.
-  bool bitsliced = true;
 };
 
 struct BatchResult {
@@ -76,7 +68,11 @@ class BatchDiagnoser {
                  CertifiedPartition partition, BatchOptions options = {});
 
   /// Diagnose every oracle; oracles[i] -> results[i]. Null entries are
-  /// rejected with std::invalid_argument.
+  /// rejected with std::invalid_argument. Full 64-wide runs of TableOracle
+  /// inputs, in input order, are solved as bitsliced cohorts
+  /// (Diagnoser::diagnose_cohort) when the graph's rows fit one word; the
+  /// remainder and every other oracle are solved one by one. Results and
+  /// look-up counts are bit-identical either way.
   [[nodiscard]] BatchResult diagnose_all(
       const std::vector<const SyndromeOracle*>& oracles);
 
@@ -93,7 +89,6 @@ class BatchDiagnoser {
  private:
   std::shared_ptr<const Graph> graph_owner_;  // null on the raw-pointer path
   const Graph* graph_;
-  bool bitsliced_;
   ThreadPool pool_;
   // lanes_[k] is exclusively used by pool lane k. unique_ptr keeps the
   // Diagnosers (and their scratch) stable and avoids false sharing of

@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <stdexcept>
-#include <typeinfo>
 
 namespace mmdiag {
 
@@ -52,8 +51,6 @@ Diagnoser::Diagnoser(const Graph& graph, CertifiedPartition partition,
       probe_builder_(graph, options.rule),
       final_builder_(graph, options.final_rule) {
   check_adopted_partition();
-  // boundary_seen_ is sized lazily by diagnose_baseline — it is the only
-  // user, and production paths should not carry a per-node array for it.
 }
 
 Diagnoser::Diagnoser(std::shared_ptr<const Graph> graph,
@@ -116,28 +113,17 @@ void Diagnoser::require_csr(const char* what) const {
   }
 }
 
-// Type-erased entry point: the same driver body instantiated on the base
-// class, so every look-up stays a virtual call. Kept un-downcast so the
-// benches and equivalence tests can measure the virtual path explicitly;
-// production call sites that hold a type-erased pointer use
-// diagnose_devirtualized instead.
-DiagnosisResult Diagnoser::diagnose(const SyndromeOracle& oracle) {
-  return diagnose_impl<SyndromeOracle>(oracle);
-}
-
-// The seed driver, preserved verbatim over the SetBuilder baseline runs —
-// the measured old-vs-new baseline. Do not modernise: its cost profile
-// (virtual per-pair look-ups, boundary collection by walking every member's
-// adjacency with dedup scratch and a final sort) is what the hot-path bench
-// compares against.
-DiagnosisResult Diagnoser::diagnose_baseline(const SyndromeOracle& oracle) {
-  require_csr("diagnose_baseline");
+// The phase-1/2/3 driver, instantiated once per graph view.
+template <class GV>
+DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
+                                            const GV& g) {
   oracle.reset_lookups();
   const Timer solve_timer;
   DiagnosisResult out;
   const PartitionPlan& plan = *partition_.plan;
 
-  // Phase 1: probe seeds until a restricted run certifies.
+  // Phase 1: probe seeds until a restricted run certifies. At most δ
+  // components can contain a fault, so δ+1 probes suffice when |F| <= δ.
   const std::size_t max_probes =
       std::min<std::size_t>(plan.num_components(), std::size_t{delta_} + 1);
   std::uint32_t certified = 0;
@@ -145,7 +131,7 @@ DiagnosisResult Diagnoser::diagnose_baseline(const SyndromeOracle& oracle) {
   probe_builder_.set_stop_on_certify(options_.stop_probe_on_certify);
   for (std::size_t c = 0; c < max_probes; ++c) {
     ++out.probes;
-    const auto probe = probe_builder_.run_restricted_baseline(
+    const auto probe = probe_builder_.run_restricted(
         oracle, plan.seed_of(c), delta_, plan, static_cast<std::uint32_t>(c));
     if (probe.all_healthy) {
       certified = static_cast<std::uint32_t>(c);
@@ -165,29 +151,34 @@ DiagnosisResult Diagnoser::diagnose_baseline(const SyndromeOracle& oracle) {
   }
   out.certified_component = certified;
 
-  // Phase 2: unrestricted run from the certified seed.
-  const auto full =
-      final_builder_.run_baseline(oracle, plan.seed_of(certified), delta_);
+  // Phase 2: unrestricted run from the certified seed. Every member is
+  // healthy (the seed is, and health propagates down the 0-tests) — no
+  // certificate is required, so the cheaper final rule applies.
+  const auto full = final_builder_.run(oracle, plan.seed_of(certified), delta_);
   out.final_members = full.members.size();
   out.final_rounds = full.rounds;
 
-  // Phase 3: N(U_r) is exactly F (Theorem 1) — by member-adjacency walk.
-  if (boundary_seen_.capacity() < graph_->num_nodes()) {
-    boundary_seen_.resize(graph_->num_nodes());
-  }
-  boundary_seen_.clear();
-  for (const Node u : full.members) {
-    for (const Node v : graph_->neighbors(u)) {
-      if (!final_builder_.in_last_baseline_set(v) && boundary_seen_.insert(v)) {
+  // Phase 3: N(U_r) is exactly F (Theorem 1). On the success path U_r is
+  // within δ of the whole graph, so scan the *complement*: one membership
+  // test per node finds the candidates, each checked for a member
+  // neighbour. Equivalent to walking every member's adjacency (same set,
+  // by definition of N), ~Δ× cheaper, and ascending by construction — no
+  // sort, no dedup scratch.
+  const std::size_t num_nodes = g.num_nodes();
+  for (Node v = 0; v < num_nodes; ++v) {
+    if (final_builder_.in_last_set(v)) continue;
+    for (const Node w : g.neighbors(v)) {
+      if (final_builder_.in_last_set(w)) {
         out.faults.push_back(v);
+        break;
       }
     }
   }
-  std::sort(out.faults.begin(), out.faults.end());
   out.lookups = oracle.lookups();
   out.diagnose_seconds = solve_timer.seconds();
 
   if (out.faults.size() > delta_) {
+    // Impossible under the |F| <= δ promise (N ⊆ F); report rather than lie.
     out.failure_reason = "boundary larger than delta (" +
                          std::to_string(out.faults.size()) + " > " +
                          std::to_string(delta_) +
@@ -199,10 +190,16 @@ DiagnosisResult Diagnoser::diagnose_baseline(const SyndromeOracle& oracle) {
   return out;
 }
 
-// The cohort driver: the phase-1/2/3 structure of diagnose_impl with lane
-// masks for control flow. Each lane leaves the probe stream the moment its
-// component certifies — exactly where its scalar loop would break — so
-// per-lane probe counts and look-ups match the scalar path bit for bit.
+DiagnosisResult Diagnoser::diagnose(const SyndromeOracle& oracle) {
+  if (implicit_ != nullptr) return diagnose_impl_on(oracle, *implicit_);
+  return diagnose_impl_on(oracle, *graph_);
+}
+
+// The cohort driver: the phase-1/2/3 structure of diagnose_impl_on with
+// lane masks for control flow. Each lane leaves the probe stream the
+// moment its component certifies — exactly where its scalar loop would
+// break — so per-lane probe counts and look-ups match the scalar path bit
+// for bit.
 std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
     const std::vector<const TableOracle*>& lanes) {
   require_csr("diagnose_cohort");
@@ -219,7 +216,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
   std::vector<DiagnosisResult> out(width);
 
   // Rows wider than one word cannot bitslice; the whole cohort peels to
-  // the scalar static path (identical results, just not in lockstep).
+  // the scalar path (identical results, just not in lockstep).
   if (graph_->max_degree() > 64) {
     for (unsigned i = 0; i < width; ++i) out[i] = diagnose(*lanes[i]);
     return out;
@@ -288,7 +285,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
       out[L].final_members = lane_run[L].member_count;
       out[L].final_rounds = lane_run[L].rounds;
     }
-    // Phase 3, bitsliced: the complement scan of diagnose_impl over
+    // Phase 3, bitsliced: the complement scan of diagnose_impl_on over
     // lane-membership masks. Ascending v, so per-lane fault lists come
     // out sorted exactly as the scalar path produces them.
     for (Node v = 0; v < num_nodes; ++v) {
@@ -327,24 +324,6 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
     out[L].diagnose_seconds = seconds;
   }
   return out;
-}
-
-DiagnosisResult diagnose_devirtualized(Diagnoser& diagnoser,
-                                       const SyndromeOracle& oracle) {
-  const std::type_info& type = typeid(oracle);
-  if (type == typeid(TableOracle)) {
-    return diagnoser.diagnose(static_cast<const TableOracle&>(oracle));
-  }
-  if (type == typeid(LazyOracle)) {
-    return diagnoser.diagnose(static_cast<const LazyOracle&>(oracle));
-  }
-  if (type == typeid(ImplicitLazyOracle)) {
-    return diagnoser.diagnose(static_cast<const ImplicitLazyOracle&>(oracle));
-  }
-  if (type == typeid(FaultFreeOracle)) {
-    return diagnoser.diagnose(static_cast<const FaultFreeOracle&>(oracle));
-  }
-  return diagnoser.diagnose(oracle);
 }
 
 }  // namespace mmdiag

@@ -112,9 +112,8 @@ class Diagnoser {
   /// Implicit-view constructors: the same three shapes over an
   /// ImplicitGraph. Phases 1-3 run the identical driver bodies through
   /// closed-form adjacency, so results and look-up counts match the CSR
-  /// constructors bit for bit; only diagnose_cohort and diagnose_baseline
-  /// (which read CSR layout directly) are unavailable and throw
-  /// std::logic_error.
+  /// constructors bit for bit; only diagnose_cohort (which reads CSR
+  /// layout directly) is unavailable and throws std::logic_error.
   Diagnoser(const Topology& topology, const ImplicitGraph& graph,
             DiagnoserOptions options = {});
   Diagnoser(const ImplicitGraph& graph, CertifiedPartition partition,
@@ -123,18 +122,7 @@ class Diagnoser {
             CertifiedPartition partition, DiagnoserOptions options = {});
 
   /// Diagnose one syndrome. The oracle's look-up counter is reset first.
-  /// This is the type-erased entry point: phases 1-2 run with virtual
-  /// dispatch per look-up.
   [[nodiscard]] DiagnosisResult diagnose(const SyndromeOracle& oracle);
-
-  /// Statically-dispatched variant: when the call site knows the concrete
-  /// oracle type, phases 1-2 instantiate on it and every look-up inlines.
-  /// Results (faults, probes, rounds, contributors, look-up counts) are
-  /// bit-identical to the type-erased path.
-  template <StaticOracle O>
-  [[nodiscard]] DiagnosisResult diagnose(const O& oracle) {
-    return diagnose_impl<O>(oracle);
-  }
 
   /// Diagnose up to 64 materialised syndromes over this calibration in
   /// bitsliced lockstep (SetBuilder::run_sliced): probes, final runs and
@@ -149,12 +137,6 @@ class Diagnoser {
   [[nodiscard]] std::vector<DiagnosisResult> diagnose_cohort(
       const std::vector<const TableOracle*>& lanes);
 
-  /// The pre-optimisation driver, preserved verbatim (SetBuilder baseline
-  /// runs, member-walk boundary collection with dedup scratch + sort) as
-  /// the measured old-vs-new baseline of bench_hotpath and a third voice
-  /// in the equivalence tests. Bit-identical results and look-up counts.
-  [[nodiscard]] DiagnosisResult diagnose_baseline(const SyndromeOracle& oracle);
-
   [[nodiscard]] unsigned delta() const noexcept { return delta_; }
   [[nodiscard]] const CertifiedPartition& partition() const noexcept {
     return partition_;
@@ -164,14 +146,8 @@ class Diagnoser {
   }
 
  private:
-  template <class O>
-  DiagnosisResult diagnose_impl(const O& oracle) {
-    if (implicit_ != nullptr) return diagnose_impl_on<O>(oracle, *implicit_);
-    return diagnose_impl_on<O>(oracle, *graph_);
-  }
-
-  template <class O, class GV>
-  DiagnosisResult diagnose_impl_on(const O& oracle, const GV& g);
+  template <class GV>
+  DiagnosisResult diagnose_impl_on(const SyndromeOracle& oracle, const GV& g);
 
   void check_adopted_partition() const;
   void require_csr(const char* what) const;
@@ -185,96 +161,6 @@ class Diagnoser {
   CertifiedPartition partition_;
   SetBuilder probe_builder_;  // options.rule — matches the calibration
   SetBuilder final_builder_;  // options.final_rule — no certificate needed
-  StampSet boundary_seen_;    // diagnose_baseline's N(U_r) dedup scratch
 };
-
-/// Route a type-erased oracle to the statically-dispatched diagnose
-/// overload when its dynamic type is one of the shipped oracles (a cheap
-/// typeid chain), falling back to the virtual path otherwise. Batch lanes
-/// and the engine's serve loop hold `const SyndromeOracle*` — this recovers
-/// the devirtualised hot path for them at one dispatch per syndrome.
-[[nodiscard]] DiagnosisResult diagnose_devirtualized(
-    Diagnoser& diagnoser, const SyndromeOracle& oracle);
-
-// ---------------------------------------------------------------------------
-// The phase-1/2/3 driver, templated on the oracle so probe and final
-// Set_Builder runs statically dispatch when O is concrete. One body for
-// both paths — divergence between them is impossible by construction.
-// ---------------------------------------------------------------------------
-
-template <class O, class GV>
-DiagnosisResult Diagnoser::diagnose_impl_on(const O& oracle, const GV& g) {
-  oracle.reset_lookups();
-  const Timer solve_timer;
-  DiagnosisResult out;
-  const PartitionPlan& plan = *partition_.plan;
-
-  // Phase 1: probe seeds until a restricted run certifies. At most δ
-  // components can contain a fault, so δ+1 probes suffice when |F| <= δ.
-  const std::size_t max_probes =
-      std::min<std::size_t>(plan.num_components(), std::size_t{delta_} + 1);
-  std::uint32_t certified = 0;
-  bool found = false;
-  probe_builder_.set_stop_on_certify(options_.stop_probe_on_certify);
-  for (std::size_t c = 0; c < max_probes; ++c) {
-    ++out.probes;
-    const auto probe = probe_builder_.run_restricted(
-        oracle, plan.seed_of(c), delta_, plan, static_cast<std::uint32_t>(c));
-    if (probe.all_healthy) {
-      certified = static_cast<std::uint32_t>(c);
-      found = true;
-      break;
-    }
-  }
-  probe_builder_.set_stop_on_certify(false);
-  if (!found) {
-    out.lookups = oracle.lookups();
-    out.failure_reason =
-        "no component certified within delta+1 probes; the fault count "
-        "likely exceeds the bound delta = " +
-        std::to_string(delta_);
-    out.diagnose_seconds = solve_timer.seconds();
-    return out;
-  }
-  out.certified_component = certified;
-
-  // Phase 2: unrestricted run from the certified seed. Every member is
-  // healthy (the seed is, and health propagates down the 0-tests) — no
-  // certificate is required, so the cheaper final rule applies.
-  const auto full = final_builder_.run(oracle, plan.seed_of(certified), delta_);
-  out.final_members = full.members.size();
-  out.final_rounds = full.rounds;
-
-  // Phase 3: N(U_r) is exactly F (Theorem 1). On the success path U_r is
-  // within δ of the whole graph, so scan the *complement*: one membership
-  // test per node finds the candidates, each checked for a member
-  // neighbour. Equivalent to walking every member's adjacency (same set,
-  // by definition of N), ~Δ× cheaper, and ascending by construction — no
-  // sort, no dedup scratch.
-  const std::size_t num_nodes = g.num_nodes();
-  for (Node v = 0; v < num_nodes; ++v) {
-    if (final_builder_.in_last_set(v)) continue;
-    for (const Node w : g.neighbors(v)) {
-      if (final_builder_.in_last_set(w)) {
-        out.faults.push_back(v);
-        break;
-      }
-    }
-  }
-  out.lookups = oracle.lookups();
-  out.diagnose_seconds = solve_timer.seconds();
-
-  if (out.faults.size() > delta_) {
-    // Impossible under the |F| <= δ promise (N ⊆ F); report rather than lie.
-    out.failure_reason = "boundary larger than delta (" +
-                         std::to_string(out.faults.size()) + " > " +
-                         std::to_string(delta_) +
-                         "); the fault count exceeds the bound";
-    out.faults.clear();
-    return out;
-  }
-  out.success = true;
-  return out;
-}
 
 }  // namespace mmdiag

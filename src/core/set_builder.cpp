@@ -14,9 +14,6 @@ SetBuilder::SetBuilder(const Graph& g, ParentRule rule)
   frontier_words_[0].assign((n + 63) / 64, 0u);
   frontier_words_[1].assign((n + 63) / 64, 0u);
   parent_pos_of_.assign(n, 0u);
-  // Baseline scratch is sized lazily by run_baseline_impl: production
-  // paths (engine lanes, batch lanes) never run the baseline, so they
-  // should not carry its per-node arrays.
 }
 
 SetBuilder::SetBuilder(const ImplicitGraph& g, ParentRule rule)
@@ -36,16 +33,268 @@ void SetBuilder::require_csr(const char* what) const {
   }
 }
 
-// Type-erased entry points: one instantiation of the same run_impl on the
-// base class, where every look-up goes through the virtual test_impl. Kept
-// (rather than downcasting) so the dispatch benches and the equivalence
-// suite can measure/compare the virtual path in the same binary.
+// The scalar driver: one body for every oracle, instantiated once per graph
+// view.
+template <class GV>
+SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
+                                      const GV& g, Node u0, unsigned delta,
+                                      const PartitionPlan* plan,
+                                      std::uint32_t comp) {
+  static_assert(GraphView<GV>);
+  if (u0 >= g.num_nodes()) throw std::invalid_argument("Set_Builder: bad seed");
+  if (plan != nullptr && plan->component_of(u0) != comp) {
+    throw std::invalid_argument("Set_Builder: seed outside its component");
+  }
+  // Restricted probes check eligibility once per scanned neighbour; for the
+  // arithmetic prefix plans (the bit-string families, including every
+  // hypercube variant) one dynamic_cast per run turns that virtual call
+  // into an inline shift.
+  const auto* prefix_plan =
+      plan != nullptr ? dynamic_cast<const PrefixBitsPlan*>(plan) : nullptr;
+  const unsigned prefix_shift =
+      prefix_plan != nullptr ? prefix_plan->suffix_bits() : 0;
+  auto eligible = [&](Node v) {
+    if (plan == nullptr) return true;
+    if (prefix_plan != nullptr) return (v >> prefix_shift) == comp;
+    return plan->component_of(v) == comp;
+  };
+
+  // The same idiom picks the read path from the input: a materialised
+  // table is read without virtual calls, and by whole packed rows where a
+  // row fits one word; every other oracle answers through test().
+  // Counting is identical either way.
+  const auto* table = dynamic_cast<const TableOracle*>(&oracle);
+  const bool word_rows = table != nullptr && g.max_degree() <= 64;
+  auto test = [&](Node u, unsigned i, unsigned j) {
+    return table != nullptr ? table->test(u, i, j) : oracle.test(u, i, j);
+  };
+  // Look-ups served from packed rows, flushed to the oracle's counter once
+  // at the end — totals match the per-call path exactly.
+  std::uint64_t row_served = 0;
+
+  in_set_.clear();
+  is_contributor_.clear();
+  // The frontier bitmaps are clean by consumption on every normal exit
+  // (words zero as they are read; the certify-break path scrubs below), so
+  // a full fill is only owed when the previous run was abandoned mid-way —
+  // an oracle that threw between admissions.
+  if (!frontier_clean_) {
+    std::fill(frontier_words_[0].begin(), frontier_words_[0].end(), 0u);
+    std::fill(frontier_words_[1].begin(), frontier_words_[1].end(), 0u);
+  }
+  frontier_clean_ = false;
+
+  SetBuilderResult result;
+  const std::size_t member_hint =
+      plan != nullptr
+          ? static_cast<std::size_t>(plan->component_size())
+          : std::max<std::size_t>(last_unrestricted_size_,
+                                  std::size_t{g.degree(u0)} + 1);
+  result.members.reserve(member_hint);
+  result.parent.reserve(member_hint);
+  result.members.push_back(u0);
+  result.parent.push_back(kNoNode);
+  in_set_.insert(u0);
+
+  // Flips each round: `fi` indexes the frontier being filled.
+  unsigned fi = 0;
+  std::size_t next_count = 0;
+
+  auto add_member = [&](Node v, Node parent, std::uint32_t parent_pos) {
+    result.members.push_back(v);
+    result.parent.push_back(parent);
+    parent_pos_of_[v] = parent_pos;
+    frontier_words_[fi][v >> 6] |= std::uint64_t{1} << (v & 63);
+    ++next_count;
+  };
+
+  // ---- Round 1: U_1 from u0's pair tests. ----------------------------------
+  {
+    const auto adj = g.neighbors(u0);
+    const auto mirror = g.mirror_positions(u0);
+    // Eligible neighbour positions (member scratch — no per-run allocation).
+    round1_pos_.clear();
+    for (unsigned p = 0; p < adj.size(); ++p) {
+      if (eligible(adj[p])) round1_pos_.push_back(p);
+    }
+    for (std::size_t a = 0; a < round1_pos_.size(); ++a) {
+      const unsigned pa = round1_pos_[a];
+      std::uint64_t row = 0;
+      bool have_row = false;
+      for (std::size_t b = a + 1; b < round1_pos_.size(); ++b) {
+        const unsigned pb = round1_pos_[b];
+        const Node va = adj[pa];
+        const Node vb = adj[pb];
+        // Once both endpoints are members the test adds no information.
+        if (in_set_.contains(va) && in_set_.contains(vb)) continue;
+        bool one;
+        if (word_rows) {
+          if (!have_row) {
+            row = table->row_bits(u0, pa);
+            have_row = true;
+          }
+          ++row_served;
+          one = (row >> pb) & 1;
+        } else {
+          one = test(u0, pa, pb);
+        }
+        if (!one) {
+          if (in_set_.insert(va)) add_member(va, u0, mirror[pa]);
+          if (in_set_.insert(vb)) add_member(vb, u0, mirror[pb]);
+        }
+      }
+    }
+    if (next_count > 0) {
+      is_contributor_.insert(u0);
+      result.contributors = 1;
+      result.rounds = 1;
+    }
+  }
+
+  // ---- Rounds i >= 2. -------------------------------------------------------
+  while (next_count > 0) {
+    if (result.contributors > delta) {
+      result.all_healthy = true;
+      if (stop_on_certify_) break;
+    }
+    // Consume the frontier just filled; admissions go to the other bitmap.
+    // Word-by-word ascending bit iteration visits frontier nodes in
+    // ascending id order — under kLeastFirst exactly the paper's "least
+    // contributing node" parent choice, with no sort.
+    std::uint64_t* const cur = frontier_words_[fi].data();
+    const std::size_t cur_words = frontier_words_[fi].size();
+    const std::size_t frontier_count = next_count;
+    fi ^= 1;
+    next_count = 0;
+
+    const bool deferred = rule_ != ParentRule::kLeastFirst;
+    if (deferred) {
+      zero_edges_.clear();
+      // Every frontier node offers at most degree-1 candidates; reserving
+      // the bound up front means no mid-round regrowth even on the first
+      // run (later runs reuse the high-water capacity anyway).
+      zero_edges_.reserve(frontier_count *
+                          static_cast<std::size_t>(g.max_degree()));
+    }
+    for (std::size_t w = 0; w < cur_words; ++w) {
+      std::uint64_t bits = cur[w];
+      if (bits == 0) continue;
+      cur[w] = 0;  // consumed — the bitmap is clean for the round after next
+      do {
+        const Node u =
+            static_cast<Node>((w << 6) + std::countr_zero(bits));
+        bits &= bits - 1;
+        const unsigned parent_pos = parent_pos_of_[u];
+        const auto adj = g.neighbors(u);
+        const auto mirror = g.mirror_positions(u);
+
+        // Consult each eligible non-member neighbour against the parent
+        // pivot. A table serves the whole pivot row as one read when the
+        // rule defers joins — those rounds consult most positions of every
+        // frontier node, so one extract amortises over many pairs. Under
+        // kLeastFirst a frontier node averages ~one consult (earlier
+        // parents already admitted the rest), so the per-pair read is the
+        // cheaper word-free path there.
+        std::uint64_t row = 0;
+        bool have_row = false;
+        bool contributed = false;
+        for (unsigned p = 0; p < adj.size(); ++p) {
+          const Node v = adj[p];
+          if (p == parent_pos || in_set_.contains(v) || !eligible(v)) {
+            continue;
+          }
+          bool one;
+          if (deferred && word_rows) {
+            if (!have_row) {
+              row = table->row_bits(u, parent_pos);
+              have_row = true;
+            }
+            ++row_served;
+            one = (row >> p) & 1;
+          } else {
+            one = test(u, p, parent_pos);
+          }
+          if (!one) {
+            if (!deferred) {
+              in_set_.insert(v);
+              add_member(v, u, mirror[p]);
+              contributed = true;
+            } else {
+              zero_edges_.push_back(ZeroEdge{u, v, mirror[p]});
+            }
+          }
+        }
+        if (!deferred && contributed && is_contributor_.insert(u)) {
+          ++result.contributors;
+        }
+      } while (bits != 0);
+    }
+
+    if (deferred) {
+      if (rule_ == ParentRule::kSpread) {
+        // Pass A: one child per distinct parent, scanning parents in
+        // ascending order (zero_edges_ is grouped by parent in that order).
+        std::size_t i = 0;
+        while (i < zero_edges_.size()) {
+          const Node u = zero_edges_[i].parent;
+          bool claimed = false;
+          std::size_t j = i;
+          for (; j < zero_edges_.size() && zero_edges_[j].parent == u; ++j) {
+            const Node v = zero_edges_[j].child;
+            if (!claimed && in_set_.insert(v)) {
+              add_member(v, u, zero_edges_[j].child_parent_pos);
+              if (is_contributor_.insert(u)) ++result.contributors;
+              claimed = true;
+            }
+          }
+          i = j;
+        }
+      } else if (rule_ == ParentRule::kHashSpread) {
+        // Order candidates so the first edge per child carries the parent
+        // minimising mix64(parent, child) — the coordination-free spread a
+        // distributed joiner can compute from its offers alone.
+        std::sort(zero_edges_.begin(), zero_edges_.end(),
+                  [](const ZeroEdge& a, const ZeroEdge& b) {
+                    if (a.child != b.child) return a.child < b.child;
+                    const auto ha = mix64(a.parent, a.child);
+                    const auto hb = mix64(b.parent, b.child);
+                    if (ha != hb) return ha < hb;
+                    return a.parent < b.parent;
+                  });
+      }
+      // Remaining candidates (all of them under kLeastSync / kHashSpread)
+      // go to the first admitting parent in edge order.
+      for (const ZeroEdge& e : zero_edges_) {
+        if (in_set_.insert(e.child)) {
+          add_member(e.child, e.parent, e.child_parent_pos);
+          if (is_contributor_.insert(e.parent)) ++result.contributors;
+        }
+      }
+    }
+
+    if (next_count > 0) ++result.rounds;
+  }
+
+  // A stop_on_certify break can leave admitted-but-unconsumed frontier bits
+  // behind; scrub them so the next run starts from clean bitmaps.
+  if (stop_on_certify_ && next_count > 0) {
+    std::fill(frontier_words_[0].begin(), frontier_words_[0].end(), 0u);
+    std::fill(frontier_words_[1].begin(), frontier_words_[1].end(), 0u);
+  }
+
+  if (result.contributors > delta) result.all_healthy = true;
+  oracle.add_lookups(row_served);
+  if (plan == nullptr) last_unrestricted_size_ = result.members.size();
+  frontier_clean_ = true;
+  return result;
+}
+
 SetBuilderResult SetBuilder::run(const SyndromeOracle& oracle, Node u0,
                                  unsigned delta) {
   if (implicit_ != nullptr) {
-    return run_impl<SyndromeOracle>(oracle, *implicit_, u0, delta, nullptr, 0);
+    return run_impl(oracle, *implicit_, u0, delta, nullptr, 0);
   }
-  return run_impl<SyndromeOracle>(oracle, *graph_, u0, delta, nullptr, 0);
+  return run_impl(oracle, *graph_, u0, delta, nullptr, 0);
 }
 
 SetBuilderResult SetBuilder::run_restricted(const SyndromeOracle& oracle,
@@ -53,10 +302,9 @@ SetBuilderResult SetBuilder::run_restricted(const SyndromeOracle& oracle,
                                             const PartitionPlan& plan,
                                             std::uint32_t comp) {
   if (implicit_ != nullptr) {
-    return run_impl<SyndromeOracle>(oracle, *implicit_, u0, delta, &plan,
-                                    comp);
+    return run_impl(oracle, *implicit_, u0, delta, &plan, comp);
   }
-  return run_impl<SyndromeOracle>(oracle, *graph_, u0, delta, &plan, comp);
+  return run_impl(oracle, *graph_, u0, delta, &plan, comp);
 }
 
 void SetBuilder::run_sliced(const BitSlicedOracle& oracle, Node u0,
@@ -462,189 +710,6 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
     const unsigned L = static_cast<unsigned>(std::countr_zero(m));
     if (out[L].contributors > delta) out[L].all_healthy = true;
   }
-}
-
-SetBuilderResult SetBuilder::run_baseline(const SyndromeOracle& oracle,
-                                          Node u0, unsigned delta) {
-  return run_baseline_impl(oracle, u0, delta, nullptr, 0);
-}
-
-SetBuilderResult SetBuilder::run_restricted_baseline(
-    const SyndromeOracle& oracle, Node u0, unsigned delta,
-    const PartitionPlan& plan, std::uint32_t comp) {
-  return run_baseline_impl(oracle, u0, delta, &plan, comp);
-}
-
-// The seed implementation, preserved verbatim as the measured baseline for
-// bench_hotpath's old-vs-new comparison and as a third voice in the
-// differential tests: per-pair virtual look-ups, stamp-array membership, a
-// sorted vector frontier re-sorted every round, parent positions re-searched
-// via Graph::neighbor_position, and the round-1 position vector allocated
-// per run. Do not "fix" its performance — its cost profile is the datum.
-SetBuilderResult SetBuilder::run_baseline_impl(const SyndromeOracle& oracle,
-                                               Node u0, unsigned delta,
-                                               const PartitionPlan* plan,
-                                               std::uint32_t comp) {
-  require_csr("run_baseline");
-  const Graph& g = *graph_;
-  if (u0 >= g.num_nodes()) throw std::invalid_argument("Set_Builder: bad seed");
-  if (plan != nullptr && plan->component_of(u0) != comp) {
-    throw std::invalid_argument("Set_Builder: seed outside its component");
-  }
-  auto eligible = [&](Node v) {
-    return plan == nullptr || plan->component_of(v) == comp;
-  };
-
-  if (baseline_parent_of_.size() < g.num_nodes()) {
-    baseline_in_set_.resize(g.num_nodes());
-    baseline_contributor_.resize(g.num_nodes());
-    baseline_parent_of_.assign(g.num_nodes(), kNoNode);
-  }
-  baseline_in_set_.clear();
-  baseline_contributor_.clear();
-  baseline_frontier_.clear();
-  baseline_next_frontier_.clear();
-
-  SetBuilderResult result;
-  result.members.push_back(u0);
-  result.parent.push_back(kNoNode);
-  baseline_in_set_.insert(u0);
-  baseline_parent_of_[u0] = kNoNode;
-
-  auto add_member = [&](Node v, Node parent) {
-    baseline_parent_of_[v] = parent;
-    result.members.push_back(v);
-    result.parent.push_back(parent);
-    baseline_next_frontier_.push_back(v);
-  };
-
-  // ---- Round 1: U_1 from u0's pair tests. ----------------------------------
-  {
-    const auto adj = g.neighbors(u0);
-    // Eligible neighbour positions.
-    std::vector<unsigned> pos;
-    pos.reserve(adj.size());
-    for (unsigned p = 0; p < adj.size(); ++p) {
-      if (eligible(adj[p])) pos.push_back(p);
-    }
-    for (std::size_t a = 0; a < pos.size(); ++a) {
-      for (std::size_t b = a + 1; b < pos.size(); ++b) {
-        const Node va = adj[pos[a]];
-        const Node vb = adj[pos[b]];
-        // Once both endpoints are members the test adds no information.
-        if (baseline_in_set_.contains(va) && baseline_in_set_.contains(vb)) {
-          continue;
-        }
-        if (!oracle.test(u0, pos[a], pos[b])) {
-          if (baseline_in_set_.insert(va)) add_member(va, u0);
-          if (baseline_in_set_.insert(vb)) add_member(vb, u0);
-        }
-      }
-    }
-    if (!baseline_next_frontier_.empty()) {
-      baseline_contributor_.insert(u0);
-      result.contributors = 1;
-      result.rounds = 1;
-    }
-  }
-
-  // ---- Rounds i >= 2. -------------------------------------------------------
-  while (!baseline_next_frontier_.empty()) {
-    if (result.contributors > delta) {
-      result.all_healthy = true;
-      if (stop_on_certify_) break;
-    }
-    std::swap(baseline_frontier_, baseline_next_frontier_);
-    baseline_next_frontier_.clear();
-    // Process frontier nodes in ascending id order: under kLeastFirst this
-    // realises the paper's "least contributing node" parent choice.
-    std::sort(baseline_frontier_.begin(), baseline_frontier_.end());
-
-    if (rule_ == ParentRule::kLeastFirst) {
-      for (const Node u : baseline_frontier_) {
-        const int parent_pos = g.neighbor_position(u, baseline_parent_of_[u]);
-        const auto adj = g.neighbors(u);
-        bool contributed = false;
-        for (unsigned p = 0; p < adj.size(); ++p) {
-          const Node v = adj[p];
-          if (static_cast<int>(p) == parent_pos ||
-              baseline_in_set_.contains(v) || !eligible(v)) {
-            continue;
-          }
-          if (!oracle.test(u, p, static_cast<unsigned>(parent_pos))) {
-            baseline_in_set_.insert(v);
-            add_member(v, u);
-            contributed = true;
-          }
-        }
-        if (contributed && baseline_contributor_.insert(u)) {
-          ++result.contributors;
-        }
-      }
-    } else {  // kSpread / kLeastSync: joins deferred to the round end
-      baseline_zero_edges_.clear();
-      for (const Node u : baseline_frontier_) {
-        const int parent_pos = g.neighbor_position(u, baseline_parent_of_[u]);
-        const auto adj = g.neighbors(u);
-        for (unsigned p = 0; p < adj.size(); ++p) {
-          const Node v = adj[p];
-          if (static_cast<int>(p) == parent_pos ||
-              baseline_in_set_.contains(v) || !eligible(v)) {
-            continue;
-          }
-          if (!oracle.test(u, p, static_cast<unsigned>(parent_pos))) {
-            baseline_zero_edges_.emplace_back(u, v);
-          }
-        }
-      }
-      if (rule_ == ParentRule::kSpread) {
-        // Pass A: one child per distinct parent, scanning parents in
-        // ascending order (zero_edges_ is grouped by u in that order).
-        std::size_t i = 0;
-        while (i < baseline_zero_edges_.size()) {
-          const Node u = baseline_zero_edges_[i].first;
-          bool claimed = false;
-          std::size_t j = i;
-          for (; j < baseline_zero_edges_.size() &&
-                 baseline_zero_edges_[j].first == u;
-               ++j) {
-            const Node v = baseline_zero_edges_[j].second;
-            if (!claimed && baseline_in_set_.insert(v)) {
-              add_member(v, u);
-              if (baseline_contributor_.insert(u)) ++result.contributors;
-              claimed = true;
-            }
-          }
-          i = j;
-        }
-      } else if (rule_ == ParentRule::kHashSpread) {
-        // Order candidates so the first edge per child carries the parent
-        // minimising mix64(parent, child).
-        std::sort(baseline_zero_edges_.begin(), baseline_zero_edges_.end(),
-                  [](const std::pair<Node, Node>& a,
-                     const std::pair<Node, Node>& b) {
-                    if (a.second != b.second) return a.second < b.second;
-                    const auto ha = mix64(a.first, a.second);
-                    const auto hb = mix64(b.first, b.second);
-                    if (ha != hb) return ha < hb;
-                    return a.first < b.first;
-                  });
-      }
-      // Remaining candidates (all of them under kLeastSync / kHashSpread)
-      // go to the first admitting parent in edge order.
-      for (const auto& [u, v] : baseline_zero_edges_) {
-        if (baseline_in_set_.insert(v)) {
-          add_member(v, u);
-          if (baseline_contributor_.insert(u)) ++result.contributors;
-        }
-      }
-    }
-
-    if (!baseline_next_frontier_.empty()) ++result.rounds;
-  }
-
-  if (result.contributors > delta) result.all_healthy = true;
-  return result;
 }
 
 }  // namespace mmdiag

@@ -31,12 +31,10 @@
 // Runs may be restricted to one component of a PartitionPlan — the
 // Set_Builder(u0, H) of §5 — in which case only member nodes are touched.
 //
-// Dispatch and the hot path. run/run_restricted are overloaded: the
-// SyndromeOracle& signatures are the type-erased entry points (every
-// look-up is a virtual call), while the StaticOracle template instantiates
-// the *same* run_impl on the concrete oracle type so look-ups inline.
-// Structural optimisations keep the inner loop word-granular and
-// allocation-free:
+// The hot path. run/run_restricted take any SyndromeOracle; one driver
+// body, templated only on the graph view (CSR Graph or ImplicitGraph),
+// serves every oracle. Structural optimisations keep the inner loop
+// word-granular and allocation-free:
 //
 //   - Frontiers are node-indexed bitmaps consumed word-by-word; ascending
 //     bit order IS the ascending node order the parent rules require, so
@@ -44,9 +42,11 @@
 //     member's tree parent in its own adjacency list is recorded at
 //     admission (from the graph's O(1) mirror table), so rounds >= 2 never
 //     re-search for the parent.
-//   - A WordRowOracle (TableOracle) serves a whole (node, pivot) syndrome
-//     row as one packed 64-bit read; the consulted pairs are then register
-//     bit tests, charged in bulk so the counter matches the per-pair path.
+//   - A materialised table (TableOracle, recognised by one dynamic_cast per
+//     run) serves a whole (node, pivot) syndrome row as one packed 64-bit
+//     read; the consulted pairs are then register bit tests, charged in
+//     bulk so the counter matches the per-pair path. Every other oracle
+//     answers through the virtual test().
 //   - Membership bitsets pack one bit per node (DirtyBitset), keeping the
 //     hot loop's working set L1-resident; restricted probes resolve
 //     prefix-plan eligibility with an inline shift instead of a virtual
@@ -55,17 +55,10 @@
 //     allocate nothing beyond the returned members/parent arrays, which
 //     are reserved from component-size / previous-run bounds.
 //
-// Both instantiations execute the same admission logic and charge the same
-// look-ups, so members, trees, rounds, contributors AND look-up counts are
-// bit-identical (tests/dispatch_equiv_test.cpp asserts this per
-// family/rule/oracle; the differential fuzzer cross-checks both paths).
-//
-// run_baseline/run_restricted_baseline preserve the pre-optimisation
-// implementation (per-pair virtual consults, stamp-array membership,
-// sorted-vector frontiers, per-round parent-position searches, per-run
-// heap scratch) verbatim: it is the measured baseline of bench_hotpath's
-// old-vs-new rows and a third voice in the differential tests. Semantics
-// and look-up accounting are bit-identical to the paths above.
+// Row reads and per-pair reads execute the same admission logic and charge
+// the same look-ups, so members, trees, rounds, contributors AND look-up
+// counts do not depend on the oracle's type (tests/dispatch_equiv_test.cpp
+// pins them per family/rule/oracle).
 #pragma once
 
 #include <algorithm>
@@ -114,51 +107,18 @@ class SetBuilder {
 
   /// Implicit-adjacency builder: the same driver over a view that computes
   /// neighbours on the fly. Scratch stays O(N) bits/words; no O(E) state.
-  /// The baseline and sliced paths remain CSR-only (they read packed rows
-  /// by graph layout) and throw std::logic_error on this builder.
+  /// The sliced paths remain CSR-only (they read packed rows by graph
+  /// layout) and throw std::logic_error on this builder.
   explicit SetBuilder(const ImplicitGraph& g,
                       ParentRule rule = ParentRule::kSpread);
 
-  /// Unrestricted run (the final phase of the §5 driver) — type-erased.
+  /// Unrestricted run (the final phase of the §5 driver).
   SetBuilderResult run(const SyndromeOracle& oracle, Node u0, unsigned delta);
 
   /// Run restricted to component `comp` of `plan` — Set_Builder(u0, H).
   SetBuilderResult run_restricted(const SyndromeOracle& oracle, Node u0,
                                   unsigned delta, const PartitionPlan& plan,
                                   std::uint32_t comp);
-
-  /// Statically-dispatched variants: identical semantics and look-up
-  /// accounting, concrete-oracle calls inline (and TableOracle runs the
-  /// word-parallel admission path).
-  template <StaticOracle O>
-  SetBuilderResult run(const O& oracle, Node u0, unsigned delta) {
-    if (implicit_ != nullptr) {
-      return run_impl<O>(oracle, *implicit_, u0, delta, nullptr, 0);
-    }
-    return run_impl<O>(oracle, *graph_, u0, delta, nullptr, 0);
-  }
-  template <StaticOracle O>
-  SetBuilderResult run_restricted(const O& oracle, Node u0, unsigned delta,
-                                  const PartitionPlan& plan,
-                                  std::uint32_t comp) {
-    if (implicit_ != nullptr) {
-      return run_impl<O>(oracle, *implicit_, u0, delta, &plan, comp);
-    }
-    return run_impl<O>(oracle, *graph_, u0, delta, &plan, comp);
-  }
-
-  /// The pre-optimisation implementation, kept verbatim as the measured
-  /// old-vs-new baseline (bench_hotpath) and as a differential-testing
-  /// reference. Same semantics, same look-up counts; reads results only
-  /// through the virtual per-pair interface. Uses its own scratch, so a
-  /// baseline run does not disturb in_last_set() state (it has its own
-  /// query, in_last_baseline_set).
-  SetBuilderResult run_baseline(const SyndromeOracle& oracle, Node u0,
-                                unsigned delta);
-  SetBuilderResult run_restricted_baseline(const SyndromeOracle& oracle,
-                                           Node u0, unsigned delta,
-                                           const PartitionPlan& plan,
-                                           std::uint32_t comp);
 
   /// Bitsliced cohort run: executes run()'s admission logic for every lane
   /// of `oracle` named in `active` (bit L = lane L) in lockstep — one
@@ -187,11 +147,6 @@ class SetBuilder {
     return in_set_.contains(v);
   }
 
-  /// Membership in the most recent run_baseline's U_r.
-  [[nodiscard]] bool in_last_baseline_set(Node v) const noexcept {
-    return baseline_in_set_.contains(v);
-  }
-
   /// If true, stop growing as soon as the certificate fires (the paper
   /// builds to the fixpoint; this is a probe-phase optimisation measured by
   /// bench_ablation). Default false = paper-faithful.
@@ -218,18 +173,14 @@ class SetBuilder {
     std::uint64_t lanes;
   };
 
-  template <class O, class GV>
-  SetBuilderResult run_impl(const O& oracle, const GV& g, Node u0,
+  template <class GV>
+  SetBuilderResult run_impl(const SyndromeOracle& oracle, const GV& g, Node u0,
                             unsigned delta, const PartitionPlan* plan,
                             std::uint32_t comp);
 
   void run_sliced_impl(const BitSlicedOracle& oracle, Node u0, unsigned delta,
                        std::uint64_t active, const PartitionPlan* plan,
                        std::uint32_t comp, SlicedLaneResult* out);
-
-  SetBuilderResult run_baseline_impl(const SyndromeOracle& oracle, Node u0,
-                                     unsigned delta, const PartitionPlan* plan,
-                                     std::uint32_t comp);
 
   void require_csr(const char* what) const;
 
@@ -269,277 +220,6 @@ class SetBuilder {
   std::vector<Node> s_touched_;
   std::vector<SlicedEdge> s_zero_edges_;
   std::vector<std::uint8_t> s_divergent_pos_;
-
-  // Baseline-only scratch (the seed implementation's data structures,
-  // including its per-round heap behaviour — deliberately not shared with
-  // the hot path so the baseline measures what the old code did).
-  StampSet baseline_in_set_;
-  StampSet baseline_contributor_;
-  std::vector<Node> baseline_frontier_;
-  std::vector<Node> baseline_next_frontier_;
-  std::vector<Node> baseline_parent_of_;
-  std::vector<std::pair<Node, Node>> baseline_zero_edges_;
 };
-
-// ---------------------------------------------------------------------------
-// The hot path. Defined in the header so each concrete-oracle instantiation
-// is visible to the optimiser at every call site.
-// ---------------------------------------------------------------------------
-
-template <class O, class GV>
-SetBuilderResult SetBuilder::run_impl(const O& oracle, const GV& g, Node u0,
-                                      unsigned delta,
-                                      const PartitionPlan* plan,
-                                      std::uint32_t comp) {
-  static_assert(GraphView<GV>);
-  if (u0 >= g.num_nodes()) throw std::invalid_argument("Set_Builder: bad seed");
-  if (plan != nullptr && plan->component_of(u0) != comp) {
-    throw std::invalid_argument("Set_Builder: seed outside its component");
-  }
-  // Restricted probes check eligibility once per scanned neighbour; for the
-  // arithmetic prefix plans (the bit-string families, including every
-  // hypercube variant) one dynamic_cast per run turns that virtual call
-  // into an inline shift.
-  const auto* prefix_plan =
-      plan != nullptr ? dynamic_cast<const PrefixBitsPlan*>(plan) : nullptr;
-  const unsigned prefix_shift =
-      prefix_plan != nullptr ? prefix_plan->suffix_bits() : 0;
-  auto eligible = [&](Node v) {
-    if (plan == nullptr) return true;
-    if (prefix_plan != nullptr) return (v >> prefix_shift) == comp;
-    return plan->component_of(v) == comp;
-  };
-
-  // Word-row reads need a whole syndrome row in one word; beyond that the
-  // per-pair test() calls below serve — counting is identical either way.
-  [[maybe_unused]] const bool word_rows = g.max_degree() <= 64;
-  // Look-ups served from packed rows, flushed to the oracle's counter once
-  // at the end — totals match the per-call path exactly.
-  [[maybe_unused]] std::uint64_t row_served = 0;
-
-  in_set_.clear();
-  is_contributor_.clear();
-  // The frontier bitmaps are clean by consumption on every normal exit
-  // (words zero as they are read; the certify-break path scrubs below), so
-  // a full fill is only owed when the previous run was abandoned mid-way —
-  // an oracle that threw between admissions.
-  if (!frontier_clean_) {
-    std::fill(frontier_words_[0].begin(), frontier_words_[0].end(), 0u);
-    std::fill(frontier_words_[1].begin(), frontier_words_[1].end(), 0u);
-  }
-  frontier_clean_ = false;
-
-  SetBuilderResult result;
-  const std::size_t member_hint =
-      plan != nullptr
-          ? static_cast<std::size_t>(plan->component_size())
-          : std::max<std::size_t>(last_unrestricted_size_,
-                                  std::size_t{g.degree(u0)} + 1);
-  result.members.reserve(member_hint);
-  result.parent.reserve(member_hint);
-  result.members.push_back(u0);
-  result.parent.push_back(kNoNode);
-  in_set_.insert(u0);
-
-  // Flips each round: `fi` indexes the frontier being filled.
-  unsigned fi = 0;
-  std::size_t next_count = 0;
-
-  auto add_member = [&](Node v, Node parent, std::uint32_t parent_pos) {
-    result.members.push_back(v);
-    result.parent.push_back(parent);
-    parent_pos_of_[v] = parent_pos;
-    frontier_words_[fi][v >> 6] |= std::uint64_t{1} << (v & 63);
-    ++next_count;
-  };
-
-  // ---- Round 1: U_1 from u0's pair tests. ----------------------------------
-  {
-    const auto adj = g.neighbors(u0);
-    const auto mirror = g.mirror_positions(u0);
-    // Eligible neighbour positions (member scratch — no per-run allocation).
-    round1_pos_.clear();
-    for (unsigned p = 0; p < adj.size(); ++p) {
-      if (eligible(adj[p])) round1_pos_.push_back(p);
-    }
-    for (std::size_t a = 0; a < round1_pos_.size(); ++a) {
-      const unsigned pa = round1_pos_[a];
-      [[maybe_unused]] std::uint64_t row = 0;
-      [[maybe_unused]] bool have_row = false;
-      for (std::size_t b = a + 1; b < round1_pos_.size(); ++b) {
-        const unsigned pb = round1_pos_[b];
-        const Node va = adj[pa];
-        const Node vb = adj[pb];
-        // Once both endpoints are members the test adds no information.
-        if (in_set_.contains(va) && in_set_.contains(vb)) continue;
-        bool one;
-        if constexpr (WordRowOracle<O>) {
-          if (word_rows) {
-            if (!have_row) {
-              row = oracle.row_bits(u0, pa);
-              have_row = true;
-            }
-            ++row_served;
-            one = (row >> pb) & 1;
-          } else {
-            one = oracle.test(u0, pa, pb);
-          }
-        } else {
-          one = oracle.test(u0, pa, pb);
-        }
-        if (!one) {
-          if (in_set_.insert(va)) add_member(va, u0, mirror[pa]);
-          if (in_set_.insert(vb)) add_member(vb, u0, mirror[pb]);
-        }
-      }
-    }
-    if (next_count > 0) {
-      is_contributor_.insert(u0);
-      result.contributors = 1;
-      result.rounds = 1;
-    }
-  }
-
-  // ---- Rounds i >= 2. -------------------------------------------------------
-  while (next_count > 0) {
-    if (result.contributors > delta) {
-      result.all_healthy = true;
-      if (stop_on_certify_) break;
-    }
-    // Consume the frontier just filled; admissions go to the other bitmap.
-    // Word-by-word ascending bit iteration visits frontier nodes in
-    // ascending id order — under kLeastFirst exactly the paper's "least
-    // contributing node" parent choice, with no sort.
-    std::uint64_t* const cur = frontier_words_[fi].data();
-    const std::size_t cur_words = frontier_words_[fi].size();
-    const std::size_t frontier_count = next_count;
-    fi ^= 1;
-    next_count = 0;
-
-    const bool deferred = rule_ != ParentRule::kLeastFirst;
-    if (deferred) {
-      zero_edges_.clear();
-      // Every frontier node offers at most degree-1 candidates; reserving
-      // the bound up front means no mid-round regrowth even on the first
-      // run (later runs reuse the high-water capacity anyway).
-      zero_edges_.reserve(frontier_count *
-                          static_cast<std::size_t>(g.max_degree()));
-    }
-    for (std::size_t w = 0; w < cur_words; ++w) {
-      std::uint64_t bits = cur[w];
-      if (bits == 0) continue;
-      cur[w] = 0;  // consumed — the bitmap is clean for the round after next
-      do {
-        const Node u =
-            static_cast<Node>((w << 6) + std::countr_zero(bits));
-        bits &= bits - 1;
-        const unsigned parent_pos = parent_pos_of_[u];
-        const auto adj = g.neighbors(u);
-        const auto mirror = g.mirror_positions(u);
-
-        // Consult each eligible non-member neighbour against the parent
-        // pivot. A WordRowOracle serves the whole pivot row as one read
-        // when the rule defers joins — those rounds consult most positions
-        // of every frontier node, so one extract amortises over many
-        // pairs. Under kLeastFirst a frontier node averages ~one consult
-        // (earlier parents already admitted the rest), so the inlined
-        // per-pair read is the cheaper word-free path there.
-        [[maybe_unused]] std::uint64_t row = 0;
-        [[maybe_unused]] bool have_row = false;
-        bool contributed = false;
-        for (unsigned p = 0; p < adj.size(); ++p) {
-          const Node v = adj[p];
-          if (p == parent_pos || in_set_.contains(v) || !eligible(v)) {
-            continue;
-          }
-          bool one;
-          if constexpr (WordRowOracle<O>) {
-            if (deferred && word_rows) {
-              if (!have_row) {
-                row = oracle.row_bits(u, parent_pos);
-                have_row = true;
-              }
-              ++row_served;
-              one = (row >> p) & 1;
-            } else {
-              one = oracle.test(u, p, parent_pos);
-            }
-          } else {
-            one = oracle.test(u, p, parent_pos);
-          }
-          if (!one) {
-            if (!deferred) {
-              in_set_.insert(v);
-              add_member(v, u, mirror[p]);
-              contributed = true;
-            } else {
-              zero_edges_.push_back(ZeroEdge{u, v, mirror[p]});
-            }
-          }
-        }
-        if (!deferred && contributed && is_contributor_.insert(u)) {
-          ++result.contributors;
-        }
-      } while (bits != 0);
-    }
-
-    if (deferred) {
-      if (rule_ == ParentRule::kSpread) {
-        // Pass A: one child per distinct parent, scanning parents in
-        // ascending order (zero_edges_ is grouped by parent in that order).
-        std::size_t i = 0;
-        while (i < zero_edges_.size()) {
-          const Node u = zero_edges_[i].parent;
-          bool claimed = false;
-          std::size_t j = i;
-          for (; j < zero_edges_.size() && zero_edges_[j].parent == u; ++j) {
-            const Node v = zero_edges_[j].child;
-            if (!claimed && in_set_.insert(v)) {
-              add_member(v, u, zero_edges_[j].child_parent_pos);
-              if (is_contributor_.insert(u)) ++result.contributors;
-              claimed = true;
-            }
-          }
-          i = j;
-        }
-      } else if (rule_ == ParentRule::kHashSpread) {
-        // Order candidates so the first edge per child carries the parent
-        // minimising mix64(parent, child) — the coordination-free spread a
-        // distributed joiner can compute from its offers alone.
-        std::sort(zero_edges_.begin(), zero_edges_.end(),
-                  [](const ZeroEdge& a, const ZeroEdge& b) {
-                    if (a.child != b.child) return a.child < b.child;
-                    const auto ha = mix64(a.parent, a.child);
-                    const auto hb = mix64(b.parent, b.child);
-                    if (ha != hb) return ha < hb;
-                    return a.parent < b.parent;
-                  });
-      }
-      // Remaining candidates (all of them under kLeastSync / kHashSpread)
-      // go to the first admitting parent in edge order.
-      for (const ZeroEdge& e : zero_edges_) {
-        if (in_set_.insert(e.child)) {
-          add_member(e.child, e.parent, e.child_parent_pos);
-          if (is_contributor_.insert(e.parent)) ++result.contributors;
-        }
-      }
-    }
-
-    if (next_count > 0) ++result.rounds;
-  }
-
-  // A stop_on_certify break can leave admitted-but-unconsumed frontier bits
-  // behind; scrub them so the next run starts from clean bitmaps.
-  if (stop_on_certify_ && next_count > 0) {
-    std::fill(frontier_words_[0].begin(), frontier_words_[0].end(), 0u);
-    std::fill(frontier_words_[1].begin(), frontier_words_[1].end(), 0u);
-  }
-
-  if (result.contributors > delta) result.all_healthy = true;
-  if constexpr (WordRowOracle<O>) oracle.add_lookups(row_served);
-  if (plan == nullptr) last_unrestricted_size_ = result.members.size();
-  frontier_clean_ = true;
-  return result;
-}
 
 }  // namespace mmdiag

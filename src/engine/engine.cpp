@@ -227,7 +227,7 @@ DiagnosisResult DiagnosisEngine::diagnose(const std::string& spec,
   const std::unique_ptr<Diagnoser> diagnoser =
       make_calibrated_diagnoser(cal, options_.diagnoser);
   const double setup_seconds = setup_timer.seconds();
-  DiagnosisResult result = diagnose_devirtualized(*diagnoser, oracle);
+  DiagnosisResult result = diagnoser->diagnose(oracle);
   result.calibration_reused = reused;
   result.setup_seconds = setup_seconds;
   return result;
@@ -391,7 +391,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
               // (same results, no lockstep).
               for (std::size_t k = 0; k < idx.size(); ++k) {
                 DiagnosisResult r =
-                    diagnose_devirtualized(diagnoser, *requests[idx[k]].oracle);
+                    diagnoser.diagnose(*requests[idx[k]].oracle);
                 r.calibration_reused = reused[k];
                 r.setup_seconds = setup_seconds;
                 results[idx[k]] = std::move(r);
@@ -460,7 +460,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
               DiagnosisModel::kMMStar, &reused);
           Diagnoser& diagnoser = lane_diagnoser(lane, cal);
           const double setup_seconds = setup_timer.seconds();
-          out = diagnose_devirtualized(diagnoser, *request.oracle);
+          out = diagnoser.diagnose(*request.oracle);
           out.calibration_reused = reused;
           out.setup_seconds = setup_seconds;
         } catch (const std::exception& e) {

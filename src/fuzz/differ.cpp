@@ -79,10 +79,7 @@ std::optional<DiagnosisResult> run_config(DiffReport& report,
   try {
     Diagnoser diagnoser(graph, partition, options);
     const LazyOracle oracle(graph, faults, c.behavior, c.behavior_seed);
-    // Deliberately the type-erased path: the differ's reference runs with
-    // virtual dispatch, and the dispatch check below races the baseline
-    // and statically-dispatched paths against it.
-    return diagnoser.diagnose(static_cast<const SyndromeOracle&>(oracle));
+    return diagnoser.diagnose(oracle);
   } catch (const std::exception& e) {
     report.divergences.push_back(
         {config, std::string("driver threw: ") + e.what()});
@@ -402,32 +399,6 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
       report, "seq-spread", s.graph(), s.spread->partition, spread_options, c, faults);
   if (reference) {
     check_result(report, "seq-spread", *reference, truth, c);
-  }
-
-  // Dispatch equivalence: the statically-dispatched hot path (concrete
-  // LazyOracle overload) and the preserved baseline implementation must be
-  // bit-identical — faults, look-ups, probes, component, rounds — to the
-  // virtual reference above. This is the fuzz-side guard on the hot-path
-  // restructuring; tests/dispatch_equiv_test.cpp is the deterministic one.
-  if (reference) {
-    try {
-      Diagnoser diagnoser(s.graph(), s.spread->partition, spread_options);
-      const LazyOracle oracle(s.graph(), faults, c.behavior, c.behavior_seed);
-      check_dispatch_identical(report, "seq-spread-static", *reference,
-                               diagnoser.diagnose(oracle));
-    } catch (const std::exception& e) {
-      report.divergences.push_back(
-          {"seq-spread-static", std::string("driver threw: ") + e.what()});
-    }
-    try {
-      Diagnoser diagnoser(s.graph(), s.spread->partition, spread_options);
-      const LazyOracle oracle(s.graph(), faults, c.behavior, c.behavior_seed);
-      check_dispatch_identical(report, "seq-spread-baseline", *reference,
-                               diagnoser.diagnose_baseline(oracle));
-    } catch (const std::exception& e) {
-      report.divergences.push_back(
-          {"seq-spread-baseline", std::string("driver threw: ") + e.what()});
-    }
     // Implicit-graph voice: the same case through closed-form adjacency.
     // The implicit view enumerates neighbours in CSR order, so faults,
     // look-ups and probes must all match the materialised reference bit
@@ -527,12 +498,12 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
     }
   }
 
-  // Bitsliced cohort (fourth dispatch voice): the case rides a 4-lane
-  // cohort interleaved with fault-free lanes, so lane admission masks
-  // genuinely diverge mid-run and the peel path is exercised. Every lane
-  // must be bit-identical to a scalar solve of its own syndrome: the case
-  // lanes against the sequential reference, the fault-free lanes against a
-  // scalar solve of the fault-free table.
+  // Bitsliced cohort voice: the case rides a 4-lane cohort interleaved with
+  // fault-free lanes, so lane admission masks genuinely diverge mid-run and
+  // the peel path is exercised. Every lane must be bit-identical to a
+  // scalar solve of its own syndrome: the case lanes against the
+  // sequential reference, the fault-free lanes against a scalar solve of
+  // the fault-free table.
   if (reference) {
     try {
       Diagnoser diagnoser(s.graph(), s.spread->partition, spread_options);
@@ -547,7 +518,7 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
       const TableOracle healthy1(s.graph(), healthy_syndrome);
       const TableOracle healthy_scalar(s.graph(), healthy_syndrome);
       const DiagnosisResult healthy_expected =
-          diagnoser.diagnose(static_cast<const SyndromeOracle&>(healthy_scalar));
+          diagnoser.diagnose(healthy_scalar);
       const auto cohort =
           diagnoser.diagnose_cohort({&healthy0, &case0, &healthy1, &case1});
       check_dispatch_identical(report, "cohort-bitsliced", healthy_expected,

@@ -3,11 +3,10 @@
 // One FuzzCase is checked end to end: the syndrome implied by (faults,
 // behaviour, seed) is served lazily, ExactSolver::diagnose() provides the
 // ground truth, and every driver configuration the library ships — both
-// probe parent rules, stop_probe_on_certify on and off, all three dispatch
-// paths of the hot path (virtual reference, statically-dispatched, and the
-// preserved baseline implementation, which must be bit-identical down to
-// the look-up counts), and BatchDiagnoser fanning the same case over >1
-// worker lane — must agree with it exactly:
+// probe parent rules, stop_probe_on_certify on and off, the implicit view
+// and the bitsliced cohort (both bit-identical to the sequential reference
+// down to the look-up counts), and BatchDiagnoser fanning the same case
+// over >1 worker lane — must agree with it exactly:
 //
 //   |F| <= delta  — every configuration must succeed and return F (the
 //                   paper's worst-case guarantee, which calibration plus

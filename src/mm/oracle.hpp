@@ -10,11 +10,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cassert>
-#include <concepts>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -175,33 +173,6 @@ class FaultFreeOracle final : public SyndromeOracle {
 };
 
 // ---------------------------------------------------------------------------
-// Static-dispatch concepts. SetBuilder/Diagnoser template their hot paths on
-// the concrete oracle type: a final subclass lets the compiler devirtualise
-// and inline test_impl, so every look-up is a plain counter bump plus a
-// direct read instead of a virtual call. The virtual SyndromeOracle
-// signatures remain the type-erased entry points; both instantiations run
-// the same driver code, so results and look-up counts are bit-identical
-// (asserted per family/rule/oracle by tests/dispatch_equiv_test.cpp).
-// ---------------------------------------------------------------------------
-
-/// Oracle types eligible for the statically-dispatched hot path: concrete
-/// (final) SyndromeOracle implementations whose dynamic type the call site
-/// knows exactly. The non-final base deliberately fails this concept so a
-/// `const SyndromeOracle&` argument binds to the virtual-dispatch overloads.
-template <class O>
-concept StaticOracle =
-    std::derived_from<O, SyndromeOracle> && std::is_final_v<O>;
-
-/// Static oracles additionally serving packed syndrome rows (TableOracle):
-/// the driver reads one 64-bit word per (node, pivot) row and accounts the
-/// consulted pairs through add_lookups.
-template <class O>
-concept WordRowOracle = StaticOracle<O> &&
-    requires(const O& o, Node u, unsigned i) {
-      { o.row_bits(u, i) } -> std::same_as<std::uint64_t>;
-    };
-
-// ---------------------------------------------------------------------------
 // Bitsliced cohort view: structure-of-arrays over up to 64 TableOracles.
 // ---------------------------------------------------------------------------
 
@@ -247,15 +218,22 @@ class BitSlicedOracle {
   /// accelerator, never a correctness surface.
   static constexpr std::size_t kCacheSlots = 2048;
 
+  /// Throws std::invalid_argument when g's rows are wider than one word
+  /// (degree > 64): such cohorts take the scalar path.
   explicit BitSlicedOracle(const Graph& g) : graph_(&g) {
-    assert(g.max_degree() <= 64 &&
-           "BitSlicedOracle: rows wider than one word — use the scalar path");
+    if (g.max_degree() > 64) {
+      throw std::invalid_argument(
+          "BitSlicedOracle: rows wider than one word (degree > 64)");
+    }
   }
 
-  /// Registers the next lane (at most 64). The oracle must address the
-  /// same adjacency as graph() — the standard cohort-by-shared-spec rule.
+  /// Registers the next lane; throws std::invalid_argument past 64 lanes.
+  /// The oracle must address the same adjacency as graph() — the standard
+  /// cohort-by-shared-spec rule.
   unsigned add_lane(const TableOracle& lane) {
-    assert(width_ < kMaxLanes && "BitSlicedOracle: cohort wider than 64");
+    if (width_ >= kMaxLanes) {
+      throw std::invalid_argument("BitSlicedOracle: cohort wider than 64");
+    }
     lanes_[width_] = &lane;
     // A cached block encodes the cohort width it was built at (unused lanes
     // zero-filled), so widening the cohort invalidates everything.

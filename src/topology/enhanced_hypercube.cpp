@@ -15,7 +15,10 @@ EnhancedHypercube::EnhancedHypercube(unsigned n, unsigned k)
 
 TopologyInfo EnhancedHypercube::info() const {
   TopologyInfo t;
-  t.name = "Q" + std::to_string(n_) + "," + std::to_string(k_);
+  t.name = std::string(1, 'Q')
+               .append(std::to_string(n_))
+               .append(",")
+               .append(std::to_string(k_));
   t.family = "enhanced_hypercube";
   t.num_nodes = std::uint64_t{1} << n_;
   t.degree = n_ + 1;

@@ -21,7 +21,7 @@ Hypercube::Hypercube(unsigned n) : BitCubeTopology(n) {
 
 TopologyInfo Hypercube::info() const {
   TopologyInfo t;
-  t.name = "Q" + std::to_string(n_);
+  t.name = std::string(1, 'Q').append(std::to_string(n_));
   t.family = "hypercube";
   t.num_nodes = std::uint64_t{1} << n_;
   t.degree = n_;

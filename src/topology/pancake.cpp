@@ -11,7 +11,7 @@ Pancake::Pancake(unsigned n) : PermTopology(n, n) {
 
 TopologyInfo Pancake::info() const {
   TopologyInfo t;
-  t.name = "P" + std::to_string(n_);
+  t.name = std::string(1, 'P').append(std::to_string(n_));
   t.family = "pancake";
   t.num_nodes = codec_.count();
   t.degree = n_ - 1;

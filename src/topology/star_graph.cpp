@@ -11,7 +11,7 @@ StarGraph::StarGraph(unsigned n) : PermTopology(n, n) {
 
 TopologyInfo StarGraph::info() const {
   TopologyInfo t;
-  t.name = "S" + std::to_string(n_);
+  t.name = std::string(1, 'S').append(std::to_string(n_));
   t.family = "star";
   t.num_nodes = codec_.count();
   t.degree = n_ - 1;

@@ -314,8 +314,8 @@ TableTestBatch make_table_batch(const test::Instance& inst, unsigned delta,
 TEST(BatchDiagnoser, BitslicedCohortsMatchScalarAtEveryWidth) {
   // Widths straddling the 64-lane cohort boundary: 63 (no cohort forms),
   // 64 (exactly one), 65 (one cohort + one scalar straggler), 130 (two
-  // cohorts + two stragglers). Each width is checked against both the
-  // sequential Diagnoser and the bitsliced=false batch path.
+  // cohorts + two stragglers). Each width is checked against the
+  // sequential Diagnoser.
   test::Instance inst("hypercube 7");
   Diagnoser sequential(*inst.topo, inst.graph);
   for (const std::size_t count : {std::size_t{63}, std::size_t{64},
@@ -325,30 +325,25 @@ TEST(BatchDiagnoser, BitslicedCohortsMatchScalarAtEveryWidth) {
         make_table_batch(inst, sequential.delta(), count);
 
     std::vector<DiagnosisResult> truth;
+    std::uint64_t truth_lookups = 0;
+    std::size_t truth_succeeded = 0;
     for (const SyndromeOracle* oracle : batch.ptrs) {
       truth.push_back(sequential.diagnose(*oracle));
+      truth_lookups += truth.back().lookups;
+      truth_succeeded += truth.back().success ? 1 : 0;
     }
 
-    BatchOptions scalar_opts;
-    scalar_opts.threads = 2;
-    scalar_opts.bitsliced = false;
-    BatchDiagnoser scalar_engine(*inst.topo, inst.graph, scalar_opts);
-    const BatchResult scalar = scalar_engine.diagnose_all(batch.ptrs);
+    BatchOptions options;
+    options.threads = 2;
+    BatchDiagnoser engine(*inst.topo, inst.graph, options);
+    const BatchResult sliced = engine.diagnose_all(batch.ptrs);
 
-    BatchOptions sliced_opts;
-    sliced_opts.threads = 2;
-    sliced_opts.bitsliced = true;
-    BatchDiagnoser sliced_engine(*inst.topo, inst.graph, sliced_opts);
-    const BatchResult sliced = sliced_engine.diagnose_all(batch.ptrs);
-
-    ASSERT_EQ(scalar.results.size(), count);
     ASSERT_EQ(sliced.results.size(), count);
     for (std::size_t i = 0; i < count; ++i) {
-      expect_equivalent(truth[i], scalar.results[i], i);
       expect_equivalent(truth[i], sliced.results[i], i);
     }
-    EXPECT_EQ(sliced.total_lookups, scalar.total_lookups);
-    EXPECT_EQ(sliced.succeeded, scalar.succeeded);
+    EXPECT_EQ(sliced.total_lookups, truth_lookups);
+    EXPECT_EQ(sliced.succeeded, truth_succeeded);
   }
 }
 
@@ -387,7 +382,7 @@ TEST(BatchDiagnoser, MixedLazyAndTableBatchScattersCorrectly) {
 
 TEST(BatchDiagnoser, SingleItemCohortlessBatchStillWorks) {
   // One table oracle: far below cohort width, must take the scalar path
-  // under bitsliced=true without stalling the pool.
+  // without stalling the pool.
   test::Instance inst("star 5");
   Diagnoser sequential(*inst.topo, inst.graph);
   const TableTestBatch batch = make_table_batch(inst, sequential.delta(), 1);

@@ -476,11 +476,17 @@ TEST(DiagnosisEngine, InvalidationRacingServeStaysBitIdentical) {
   const DiagnosisResult expected = direct.diagnose(reference_oracle);
 
   std::atomic<bool> stop{false};
+  std::atomic<unsigned> passes{0};
   std::thread invalidator([&] {
     while (!stop.load()) {
       (void)engine.invalidate_all();
+      passes.fetch_add(1);
     }
   });
+  // A busy host may first schedule the invalidator after the serve rounds
+  // are done; its first pass evicts the calibration built above, so serving
+  // only after it completes guarantees at least one explicit eviction.
+  while (passes.load() == 0) std::this_thread::yield();
   for (int round = 0; round < 8; ++round) {
     const std::vector<DiagnosisResult> results = engine.serve(requests);
     ASSERT_EQ(results.size(), requests.size());

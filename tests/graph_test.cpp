@@ -154,7 +154,9 @@ TEST(Dot, WritesNodesEdgesAndStyles) {
   DotStyle style;
   style.highlighted = {2};
   style.bold_edges = {{0, 1}};
-  style.label = [](Node v) { return "v" + std::to_string(v); };
+  style.label = [](Node v) {
+    return std::string(1, 'v').append(std::to_string(v));
+  };
   std::ostringstream os;
   write_dot(os, g, style);
   const std::string out = os.str();

@@ -92,7 +92,7 @@ class CompleteTopology final : public Topology {
   explicit CompleteTopology(unsigned n) : n_(n) {}
   [[nodiscard]] TopologyInfo info() const override {
     TopologyInfo t;
-    t.name = "K" + std::to_string(n_);
+    t.name = std::string(1, 'K').append(std::to_string(n_));
     t.family = "complete";
     t.num_nodes = n_;
     t.degree = n_ - 1;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <utility>
 
 #include "graph/builder.hpp"
@@ -195,6 +197,25 @@ TEST(Oracles, FaultFreeOracleAlwaysZero) {
   EXPECT_FALSE(oracle.test(0, 0, 1));
   EXPECT_FALSE(oracle.test(5, 1, 2));
   EXPECT_EQ(oracle.lookups(), 2u);
+}
+
+// The cohort view's preconditions hold in every build type, not only where
+// assert() is compiled in: rows wider than one word and a 65th lane throw.
+TEST(Oracles, BitSlicedOracleRejectsWideRowsAndA65thLane) {
+  const Graph wide = complete_graph(66);  // K_66: d = 65
+  EXPECT_THROW(BitSlicedOracle{wide}, std::invalid_argument);
+  const Graph word = complete_graph(65);  // K_65: d = 64, exactly one word
+  EXPECT_NO_THROW(BitSlicedOracle{word});
+
+  const Syndrome s(word);
+  const TableOracle table(word, s);
+  BitSlicedOracle sliced(word);
+  for (unsigned lane = 0; lane < BitSlicedOracle::kMaxLanes; ++lane) {
+    EXPECT_EQ(sliced.add_lane(table), lane);
+  }
+  EXPECT_THROW((void)sliced.add_lane(table), std::invalid_argument);
+  EXPECT_EQ(sliced.width(), BitSlicedOracle::kMaxLanes);
+  EXPECT_EQ(sliced.full_mask(), ~std::uint64_t{0});
 }
 
 }  // namespace
