@@ -9,7 +9,7 @@
 //       all-one | anti.
 //
 //   mmdiag_cli diagnose <file> [--verify] [--model m] [--local NODE]
-//              [--graph-mode csr|auto] [--shards S]
+//              [--graph-mode csr|auto]
 //       Load a syndrome file (its model header picks the solver), run the
 //       diagnosis through the DiagnosisEngine, print the fault ids and the
 //       setup/solve split (and check full-syndrome consistency with
@@ -17,17 +17,18 @@
 //       answers one node's status via the BGM neighbourhood-read fast
 //       path instead of a global solve. Syndrome files address rows
 //       through CSR adjacency, so --graph-mode implicit is a usage error.
-//       --shards S routes an mm-star solve through the owner/halo
-//       ShardedDiagnoser (S owner shards, parallel scans, bit-identical
-//       results); the final-pass rule becomes spread, the one change the
-//       sharded engine requires.
 //
-//   mmdiag_cli diagnose --batch <dir> [--threads N]
+//   mmdiag_cli diagnose --batch <dir> [--threads N] [--graph-mode csr|auto]
 //       Load every syndrome file in <dir> (anything not ending in .truth),
 //       group the files by canonical topology spec, and diagnose each group
 //       in parallel with an engine-backed BatchDiagnoser — the certified
 //       partition is built once per topology and shared by all N worker
 //       threads.
+//
+//       Both forms reject an unknown option, a flag missing its value, a
+//       second syndrome file, and an option the chosen form does not take
+//       (--threads without --batch; a file, --verify, --model or --local
+//       with it).
 //
 //   mmdiag_cli serve --requests <file> [--threads N] [--cache-capacity C]
 //       Mixed-spec request-stream mode: <file> lists one syndrome-file
@@ -82,7 +83,6 @@
 #include "core/certified_partition.hpp"
 #include "core/diagnoser.hpp"
 #include "core/verifier.hpp"
-#include "distributed/shard_plan.hpp"
 #include "engine/engine.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "io/syndrome_io.hpp"
@@ -106,7 +106,7 @@ int usage() {
                "[--behavior random|all-zero|all-one|anti] -o FILE\n"
             << "  mmdiag_cli diagnose FILE [--verify] "
                "[--model mm-star|pmc|bgm] [--local NODE] "
-               "[--graph-mode csr|auto] [--shards S]\n"
+               "[--graph-mode csr|auto]\n"
             << "  mmdiag_cli diagnose --batch DIR [--threads N] "
                "[--graph-mode csr|auto]\n"
             << "  mmdiag_cli serve --requests FILE [--threads N] "
@@ -440,43 +440,66 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   std::string path, batch_dir;
   bool verify = false;
   unsigned threads = 0;
-  unsigned shards = 1;
+  bool have_threads = false;
   GraphMode graph_mode = GraphMode::kCsr;
   DiagnosisModel expected_model = DiagnosisModel::kMMStar;
   bool have_expected_model = false;
   Node local_node = kNoNode;
   bool have_local = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--verify") {
+    const std::string& arg = args[i];
+    const bool takes_value = arg == "--batch" || arg == "--threads" ||
+                             arg == "--graph-mode" || arg == "--model" ||
+                             arg == "--local";
+    if (takes_value && i + 1 == args.size()) {
+      std::cerr << "diagnose argument '" << arg << "' needs a value\n";
+      return usage();
+    }
+    if (arg == "--verify") {
       verify = true;
-    } else if (args[i] == "--batch" && i + 1 < args.size()) {
+    } else if (arg == "--batch") {
       batch_dir = args[++i];
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
+    } else if (arg == "--threads") {
       if (!parse_flag_value("--threads", args[++i], kMaxThreads, threads)) {
         return usage();
       }
-    } else if (args[i] == "--shards" && i + 1 < args.size()) {
-      if (!parse_flag_value("--shards", args[++i], ShardPlan::kMaxShards,
-                            shards)) {
-        return usage();
-      }
-    } else if (args[i] == "--graph-mode" && i + 1 < args.size()) {
+      have_threads = true;
+    } else if (arg == "--graph-mode") {
       if (!parse_file_graph_mode(args[++i], graph_mode)) return 2;
-    } else if (args[i] == "--model" && i + 1 < args.size()) {
+    } else if (arg == "--model") {
       expected_model = diagnosis_model_from_string(args[++i]);
       have_expected_model = true;
-    } else if (args[i] == "--local" && i + 1 < args.size()) {
+    } else if (arg == "--local") {
       if (!parse_flag_value("--local", args[++i],
                             std::numeric_limits<Node>::max() - 1,
                             local_node)) {
         return usage();
       }
       have_local = true;
+    } else if (arg.starts_with('-')) {
+      std::cerr << "unknown diagnose argument '" << arg << "'\n";
+      return usage();
+    } else if (!path.empty()) {
+      std::cerr << "diagnose takes one syndrome file, got a second: '" << arg
+                << "'\n";
+      return usage();
     } else {
-      path = args[i];
+      path = arg;
     }
   }
-  if (!batch_dir.empty()) return cmd_diagnose_batch(batch_dir, threads);
+  if (!batch_dir.empty()) {
+    if (!path.empty() || verify || have_expected_model || have_local) {
+      std::cerr << "diagnose --batch takes only --threads and --graph-mode, "
+                   "no syndrome file, --verify, --model or --local\n";
+      return usage();
+    }
+    return cmd_diagnose_batch(batch_dir, threads);
+  }
+  if (have_threads) {
+    std::cerr << "diagnose argument '--threads' needs --batch: a single "
+                 "file is diagnosed on one thread\n";
+    return usage();
+  }
   if (path.empty()) return usage();
 
   std::ifstream in(path);
@@ -516,14 +539,6 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   EngineOptions engine_options;
   engine_options.threads = 1;
   engine_options.graph_mode = graph_mode;
-  engine_options.shards = shards;
-  if (shards != 1) {
-    // The sharded engine needs deferred rules for both phases; spread is
-    // the probe-rule default, so only the final pass changes. Results stay
-    // bit-identical to a monolithic run under the same pair of rules.
-    engine_options.diagnoser.final_rule = ParentRule::kSpread;
-    engine_options.threads = threads;  // scan lanes; 0 = hardware
-  }
   DiagnosisEngine engine(engine_options);
   PinnedResolver resolve(engine);
   std::istringstream body(buffer.str());
@@ -548,8 +563,8 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   std::cout << "diagnosed " << result.faults.size() << " fault(s) in "
             << result.diagnose_seconds * 1e3 << " ms solve + "
             << cal->build_seconds * 1e3 << " ms calibration ("
-            << result.lookups << " look-ups, " << result.shards_used
-            << " shard(s)" << (verify ? ", verified" : "") << "):\n";
+            << result.lookups << " look-ups"
+            << (verify ? ", verified" : "") << "):\n";
   for (const Node v : result.faults) {
     std::cout << "  " << v << "  [" << cal->topology->node_label(v) << "]\n";
   }

@@ -3,8 +3,9 @@
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
 # followed by bench smokes (bench_batch on tiny instances must emit a
 # BENCH_batch.json that parses as JSON; skipped if google-benchmark was not
-# found), an engine-cache smoke, a Release build with its own ctest run, a
-# UBSan pass, and a fuzz smoke: 200 deterministic differential cases of
+# found), an engine-cache smoke, a Release build with its own ctest run, an
+# ASan+UBSan pass over every ctest case, a TSan pass over the threaded
+# suites, and a fuzz smoke: 200 deterministic differential cases of
 # the §5 driver against the exact solver. A fuzz divergence exits non-zero
 # and leaves minimized repro files in build/fuzz-repros/ (uploaded as a CI
 # artifact; check the repro into tests/corpus/ once the bug is fixed).
@@ -151,45 +152,6 @@ else
   echo "model smoke: bench_models not built, skipped"
 fi
 
-if [ -x bench/bench_shard ]; then
-  # The shard smoke must show the owner/halo engine sharding a >= 2^16 node
-  # instance bit-identically to the monolith — same faults, probes AND
-  # counted look-ups — inside a per-shard row-store budget below the
-  # monolithic CSR (the binary itself exits non-zero on divergence; the
-  # JSON fields are re-checked here so a reporting bug cannot mask one).
-  ./bench/bench_shard --smoke --out BENCH_shard.json
-  if command -v python3 >/dev/null; then
-    python3 - <<'PY'
-import json
-with open("BENCH_shard.json") as f:
-    report = json.load(f)
-assert "hardware_threads" in report, "bench_shard lost its hardware_threads meta"
-rows = report["results"]
-assert rows, "BENCH_shard.json has no results"
-identity = [r for r in rows if r["mode"] == "identity"]
-assert identity, "no identity rows: the sharded engine never raced the monolith"
-assert any(r["nodes"] >= 65536 and r["shards"] >= 2 for r in identity), \
-    "no sharded row reached 2^16 nodes"
-for r in identity:
-    assert r["identical_to_monolithic"], \
-        f"sharded engine diverged from the monolith: {r}"
-    assert r["lookups_identical"], \
-        f"sharded engine changed the counted look-ups: {r}"
-    assert r["monolithic_lookups"] == r["sharded_lookups"], f"look-ups differ: {r}"
-    assert r["store_below_monolithic_csr"], \
-        f"a shard's row store outgrew the monolithic CSR: {r}"
-    assert r["peak_rss_kb"] < 262144, \
-        f"shard smoke exceeded the 256 MB peak-RSS budget: {r}"
-print(f"shard smoke: {len(identity)} identity rows, sharded engine "
-      "bit-identical to the monolith with unchanged look-up counts")
-PY
-  else
-    echo "shard smoke: python3 unavailable, JSON validation skipped"
-  fi
-else
-  echo "shard smoke: bench_shard not built, skipped"
-fi
-
 if [ -x bench/bench_churn ]; then
   # The churn smoke must show the warm incremental path holding bit-identity
   # against cold full recalibration on hostile generated streams (expected
@@ -235,13 +197,11 @@ fi
 
 # hardware_threads must be present in every bench report that carries
 # speed numbers, so a reader can tell a 1-thread CI container's timings
-# from a workstation's (the sharded speedup rows are meaningless without
-# it).
+# from a workstation's.
 if command -v python3 >/dev/null; then
   python3 - <<'PY'
 import json
-for name in ("BENCH_scale.json", "BENCH_models.json", "BENCH_shard.json",
-              "BENCH_churn.json"):
+for name in ("BENCH_scale.json", "BENCH_models.json", "BENCH_churn.json"):
     try:
         with open(name) as f:
             report = json.load(f)
@@ -263,32 +223,41 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
 cmake --build build-release -j
 (cd build-release && ctest --output-on-failure -j)
 
-# UBSan pass over the word-level kernels the bitsliced path leans on:
-# extract/row_bits/transpose64 shift edge cases trap at runtime under
-# -fsanitize=undefined instead of silently wrapping, and the directed-model
-# suites ride along so PMC/BGM hash and bit plumbing get the same scrutiny.
-# shard_test rides along too: the sharded engine's frontier bitmaps, halo
-# slot maps and merge cursors are all word/index arithmetic. churn_test as
-# well: the overlay's dead-edge masks, the masked oracle reads and the
-# changed-row bitsets are the same kind of shift-heavy word plumbing. Only
-# the suites that exercise those kernels are built, so the pass stays cheap.
-cmake -B build-ubsan -S . \
+# ASan+UBSan pass over every ctest case (the gtest suites, the corpus
+# replays and the CLI usage cases) and the 200-case fuzz smoke: an
+# out-of-bounds word read, a use-after-free across shared calibrations or a
+# shift past a word's width aborts the run instead of passing silently.
+# Benches are left out: no ctest case runs them.
+cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all" \
-  "$@"
-cmake --build build-ubsan -j --target util_test syndrome_test \
-  dispatch_equiv_test model_test directed_solver_test model_fuzz_test \
-  shard_test churn_test
-./build-ubsan/tests/util_test
-./build-ubsan/tests/syndrome_test
-./build-ubsan/tests/dispatch_equiv_test
-./build-ubsan/tests/model_test
-./build-ubsan/tests/directed_solver_test
-./build-ubsan/tests/model_fuzz_test
-./build-ubsan/tests/shard_test
-./build-ubsan/tests/churn_test
-echo "ubsan smoke: word-level kernel, directed-model, shard and churn" \
-     "suites clean under -fsanitize=undefined"
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+  -DMMDIAG_BUILD_BENCH=OFF "$@"
+cmake --build build-asan -j
+(cd build-asan && ctest --output-on-failure -j)
+if [ -x build-asan/examples/mmdiag_cli ]; then
+  ./build-asan/examples/mmdiag_cli fuzz --cases 200 --seed 1 --max-bugs 3 \
+    --budget-seconds 120 --out-dir build-asan/fuzz-repros \
+    | tee build-asan/fuzz-smoke.log
+  if grep -q "budget exhausted" build-asan/fuzz-smoke.log; then
+    echo "asan fuzz smoke: FAILED — budget exhausted before the case stream ran"
+    exit 1
+  fi
+fi
+echo "asan+ubsan: every ctest case and the fuzz smoke clean"
+
+# TSan pass over the suites that run threads: the batch pool, the engine's
+# calibration cache and serve lanes, the churn engine, and ThreadPool itself
+# (util_test). Only those suites are built.
+cmake -B build-tsan -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+  -DMMDIAG_BUILD_BENCH=OFF -DMMDIAG_BUILD_EXAMPLES=OFF "$@"
+cmake --build build-tsan -j --target batch_test engine_test churn_test \
+  util_test
+for suite in batch_test engine_test churn_test util_test; do
+  "./build-tsan/tests/$suite"
+done
+echo "tsan: batch, engine, churn and util suites race-free"
 cd build
 
 if [ -x examples/mmdiag_cli ]; then

@@ -69,11 +69,6 @@ struct DiagnosisResult {
   bool calibration_reused = false; // served without waiting on a
                                    // calibration build (cache hit that
                                    // didn't block behind the builder)
-  unsigned shards_used = 1;        // owner/halo shards the engine actually
-                                   // solved with; 1 = monolithic, including
-                                   // the silent fallback for requests that
-                                   // are not shardable (non-table oracle,
-                                   // degree > 64, order-serial rule)
   bool used_local_fast_path = false; // answered by bgm_local_diagnose's
                                      // neighbourhood reads alone, no
                                      // global solve (directed serving only)

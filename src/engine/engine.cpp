@@ -8,9 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include <thread>
-
-#include "distributed/sharded_diagnoser.hpp"
 #include "topology/registry.hpp"
 #include "util/timer.hpp"
 
@@ -181,48 +178,6 @@ DiagnosisResult DiagnosisEngine::diagnose(const std::string& spec,
       get_or_build(spec, options_.diagnoser.delta, options_.diagnoser.rule,
                    options_.diagnoser.validate_all_components,
                    DiagnosisModel::kMMStar, &reused);
-
-  // Owner/halo sharded routing (EngineOptions::shards). Explicit N > 1
-  // shards whenever the oracle carries a materialised table the shard
-  // stores can re-partition (option errors like a kLeastFirst rule then
-  // propagate from the ShardedDiagnoser constructor); auto (0) additionally
-  // requires the instance to be big enough to pay for the plan and the
-  // rules to be shardable, silently staying monolithic otherwise. Either
-  // route returns bit-identical results (tests/shard_test.cpp).
-  if (options_.shards != 1) {
-    const auto* table = dynamic_cast<const TableOracle*>(&oracle);
-    const bool row_capable =
-        table != nullptr && cal->topology->info().degree <= 64;
-    unsigned shards = options_.shards;
-    if (shards == 0) {
-      const bool deferred_rules =
-          options_.diagnoser.rule != ParentRule::kLeastFirst &&
-          options_.diagnoser.final_rule != ParentRule::kLeastFirst;
-      const std::size_t nodes = cal->topology->info().num_nodes;
-      if (row_capable && deferred_rules &&
-          nodes >= kShardAutoNodeThreshold) {
-        shards = std::clamp(std::thread::hardware_concurrency(), 2u,
-                            unsigned{ShardPlan::kMaxShards});
-      } else {
-        shards = 1;  // not shardable or not worth it: monolithic
-      }
-    }
-    if (shards > 1 && row_capable) {
-      ShardedOptions sharded;
-      sharded.shards = shards;
-      sharded.threads = options_.threads;
-      sharded.diagnoser = options_.diagnoser;
-      ShardedDiagnoser engine(cal->topology, cal->partition, sharded);
-      const double setup_seconds = setup_timer.seconds();
-      DiagnosisResult result = engine.diagnose(table->syndrome());
-      result.shards_used = shards;
-      result.calibration_reused = reused;
-      result.setup_seconds = setup_seconds;
-      return result;
-    }
-    // Falling through leaves shards_used = 1: the fallback to a monolithic
-    // solve is visible in the result, never silent.
-  }
 
   const std::unique_ptr<Diagnoser> diagnoser =
       make_calibrated_diagnoser(cal, options_.diagnoser);

@@ -60,22 +60,7 @@ struct EngineOptions {
   /// ImplicitGraph. The resolved choice is part of the cache key, so one
   /// engine never conflates the two representations of a spec.
   GraphMode graph_mode = GraphMode::kAuto;
-  /// Owner/halo sharding for diagnose() (the MM* syndrome entry point).
-  /// 1 = always monolithic (default). N in [2, ShardPlan::kMaxShards] =
-  /// always shard into N when the request is shardable — a TableOracle
-  /// syndrome, degree <= 64, and deferred rules; a ShardedDiagnoser
-  /// constructor error (e.g. kLeastFirst) then propagates. 0 = auto: shard
-  /// at hardware-thread count once the instance crosses
-  /// kShardAutoNodeThreshold nodes, silently staying monolithic whenever
-  /// the request is not shardable. Results are bit-identical either way
-  /// (tests/shard_test.cpp asserts the routed-vs-monolithic contract).
-  unsigned shards = 1;
 };
-
-/// Auto sharding (EngineOptions::shards == 0) engages above this many
-/// nodes: below it the monolithic solve is already cache-resident and the
-/// per-shard plan/exchange overhead cannot pay for itself.
-inline constexpr std::size_t kShardAutoNodeThreshold = std::size_t{1} << 20;
 
 /// Monotonic cache counters (entries is a snapshot). misses counts actual
 /// calibration builds: racing misses on one key resolve to one miss for the

@@ -99,13 +99,6 @@ class TableOracle final : public SyndromeOracle {
     return syndrome_->row_bits_at(loc);
   }
 
-  /// The backing table, for consumers that re-partition the same
-  /// materialised rows under their own accounting (the sharded engine's
-  /// per-shard row stores copy owned and halo rows out of it).
-  [[nodiscard]] const Syndrome& syndrome() const noexcept {
-    return *syndrome_;
-  }
-
  protected:
   [[nodiscard]] bool test_impl(Node u, unsigned i, unsigned j) const override {
     return syndrome_->test(u, i, j);
