@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify, exactly as ROADMAP.md specifies:
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
-# followed by bench smokes (bench_batch on tiny instances must emit a
+# followed by a perfbench answer-check smoke (one 2-second traced run per
+# workload), bench smokes (bench_batch on tiny instances must emit a
 # BENCH_batch.json that parses as JSON; skipped if google-benchmark was not
 # found), an engine-cache smoke, a Release build with its own ctest run, an
 # ASan+UBSan pass over every ctest case, a TSan pass over the threaded
@@ -20,6 +21,35 @@ cmake -B build -S . "$@"
 cmake --build build -j
 cd build
 ctest --output-on-failure -j
+
+if command -v python3 >/dev/null; then
+  # perfbench answer-check smoke: one short traced run per workload (the
+  # runner builds its own tree in .bench_build/). A traced run checks every
+  # answer and, on every replayed request, the §6 final-run bound;
+  # scale-implicit is the only step here that reaches hypercube 20. The
+  # last line must be the JSON result, correct and with nothing failed.
+  for workload in serve-batch online-lazy scale-implicit churn-online; do
+    log="perfbench-$workload.log"
+    if ! (cd .. && python3 perfbench/run.py --workload "$workload" --seed 1 \
+            --seconds 2 --trace 1) > "$log"; then
+      echo "perfbench smoke ($workload): FAILED, see build/$log"
+      tail -n 5 "$log"
+      exit 1
+    fi
+    python3 - "$log" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    last = f.read().splitlines()[-1]
+result = json.loads(last)
+assert result["correct"] is True and result["failed"] == 0, \
+    f"perfbench smoke failed ({sys.argv[1]}): {last[:300]}"
+print(f"perfbench smoke: {sys.argv[1]}: all {result['attempted']} answers "
+      "correct")
+PY
+  done
+else
+  echo "perfbench smoke: python3 unavailable, skipped"
+fi
 
 if [ -x bench/bench_batch ]; then
   ./bench/bench_batch --smoke --out BENCH_batch.json

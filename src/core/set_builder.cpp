@@ -100,10 +100,12 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
   unsigned fi = 0;
   std::size_t next_count = 0;
 
-  auto add_member = [&](Node v, Node parent, std::uint32_t parent_pos) {
+  // `pos` is v's position in adj(parent); its mirror, parent's position in
+  // adj(v), is computed here, once per admitted member.
+  auto add_member = [&](Node v, Node parent, unsigned pos) {
     result.members.push_back(v);
     result.parent.push_back(parent);
-    parent_pos_of_[v] = parent_pos;
+    parent_pos_of_[v] = g.mirror_position(parent, pos);
     frontier_words_[fi][v >> 6] |= std::uint64_t{1} << (v & 63);
     ++next_count;
   };
@@ -111,7 +113,6 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
   // ---- Round 1: U_1 from u0's pair tests. ----------------------------------
   {
     const auto adj = g.neighbors(u0);
-    const auto mirror = g.mirror_positions(u0);
     // Eligible neighbour positions (member scratch — no per-run allocation).
     round1_pos_.clear();
     for (unsigned p = 0; p < adj.size(); ++p) {
@@ -139,8 +140,8 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
           one = test(u0, pa, pb);
         }
         if (!one) {
-          if (in_set_.insert(va)) add_member(va, u0, mirror[pa]);
-          if (in_set_.insert(vb)) add_member(vb, u0, mirror[pb]);
+          if (in_set_.insert(va)) add_member(va, u0, pa);
+          if (in_set_.insert(vb)) add_member(vb, u0, pb);
         }
       }
     }
@@ -162,8 +163,18 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
     // ascending id order — under kLeastFirst exactly the paper's "least
     // contributing node" parent choice, with no sort.
     std::uint64_t* const cur = frontier_words_[fi].data();
-    const std::size_t cur_words = frontier_words_[fi].size();
     const std::size_t frontier_count = next_count;
+    // The frontier is exactly the last frontier_count members. A restricted
+    // run scans only the words they span; every word outside is zero.
+    std::size_t w_begin = 0;
+    std::size_t w_end = frontier_words_[fi].size();
+    if (plan != nullptr) {
+      const auto [lo, hi] = std::minmax_element(
+          result.members.end() - static_cast<std::ptrdiff_t>(frontier_count),
+          result.members.end());
+      w_begin = *lo >> 6;
+      w_end = (*hi >> 6) + 1;
+    }
     fi ^= 1;
     next_count = 0;
 
@@ -176,7 +187,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
       zero_edges_.reserve(frontier_count *
                           static_cast<std::size_t>(g.max_degree()));
     }
-    for (std::size_t w = 0; w < cur_words; ++w) {
+    for (std::size_t w = w_begin; w < w_end; ++w) {
       std::uint64_t bits = cur[w];
       if (bits == 0) continue;
       cur[w] = 0;  // consumed — the bitmap is clean for the round after next
@@ -186,7 +197,6 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
         bits &= bits - 1;
         const unsigned parent_pos = parent_pos_of_[u];
         const auto adj = g.neighbors(u);
-        const auto mirror = g.mirror_positions(u);
 
         // Consult each eligible non-member neighbour against the parent
         // pivot. A table serves the whole pivot row as one read when the
@@ -217,10 +227,10 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
           if (!one) {
             if (!deferred) {
               in_set_.insert(v);
-              add_member(v, u, mirror[p]);
+              add_member(v, u, p);
               contributed = true;
             } else {
-              zero_edges_.push_back(ZeroEdge{u, v, mirror[p]});
+              zero_edges_.push_back(ZeroEdge{u, v, p});
             }
           }
         }
@@ -242,7 +252,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
           for (; j < zero_edges_.size() && zero_edges_[j].parent == u; ++j) {
             const Node v = zero_edges_[j].child;
             if (!claimed && in_set_.insert(v)) {
-              add_member(v, u, zero_edges_[j].child_parent_pos);
+              add_member(v, u, zero_edges_[j].pos);
               if (is_contributor_.insert(u)) ++result.contributors;
               claimed = true;
             }
@@ -266,7 +276,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
       // go to the first admitting parent in edge order.
       for (const ZeroEdge& e : zero_edges_) {
         if (in_set_.insert(e.child)) {
-          add_member(e.child, e.parent, e.child_parent_pos);
+          add_member(e.child, e.parent, e.pos);
           if (is_contributor_.insert(e.parent)) ++result.contributors;
         }
       }

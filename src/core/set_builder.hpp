@@ -38,10 +38,12 @@
 //
 //   - Frontiers are node-indexed bitmaps consumed word-by-word; ascending
 //     bit order IS the ascending node order the parent rules require, so
-//     the per-round std::sort of the frontier is gone. The position of a
-//     member's tree parent in its own adjacency list is recorded at
-//     admission (from the graph's O(1) mirror table), so rounds >= 2 never
-//     re-search for the parent.
+//     the per-round std::sort of the frontier is gone. A restricted run
+//     scans only the word window its frontier spans, so a probe of a
+//     component that is a contiguous id range (the prefix plans) costs
+//     O(Δ·|U_r|), not O(N). The position of a member's tree parent in its
+//     own adjacency list is recorded at admission (one mirror_position
+//     call per member), so rounds >= 2 never re-search for the parent.
 //   - A materialised table (TableOracle, recognised by one dynamic_cast per
 //     run) serves a whole (node, pivot) syndrome row as one packed 64-bit
 //     read; the consulted pairs are then register bit tests, charged in
@@ -155,13 +157,13 @@ class SetBuilder {
   [[nodiscard]] ParentRule rule() const noexcept { return rule_; }
 
  private:
-  /// A 0-test admission candidate of one deferred-join round.
-  /// child_parent_pos is the position of parent in child's adjacency list
-  /// (from the mirror table), stored so admission needs no search.
+  /// A 0-test admission candidate of one deferred-join round. pos is
+  /// child's position in parent's adjacency list; admission turns it into
+  /// the mirror position, so candidates that lose pay nothing for it.
   struct ZeroEdge {
     Node parent;
     Node child;
-    std::uint32_t child_parent_pos;
+    std::uint32_t pos;
   };
 
   /// A deferred-join candidate of one sliced round: ZeroEdge plus the mask

@@ -6,6 +6,9 @@
 // id order — that shared order is what makes solver runs on the two views
 // consult identical (node, position) syndrome bits and therefore produce
 // bit-identical results and look-up counts.
+//
+// Mirror positions are answered one edge at a time, so a solver pays for one
+// per member it admits, not Δ per node it scans.
 #pragma once
 
 #include <concepts>
@@ -25,9 +28,8 @@ concept GraphView = requires(const G& g, Node u, Node v, unsigned p) {
   { g.neighbors(u).size() } -> std::convertible_to<std::size_t>;
   { g.neighbor(u, p) } -> std::convertible_to<Node>;
   { g.neighbor_position(u, v) } -> std::convertible_to<int>;
+  // u's position in adj(neighbor(u, p)), one query at a time.
   { g.mirror_position(u, p) } -> std::convertible_to<unsigned>;
-  // mirror_positions(u) aligned with neighbors(u).
-  { g.mirror_positions(u)[p] } -> std::convertible_to<std::uint32_t>;
   { g.memory_bytes() } -> std::convertible_to<std::uint64_t>;
 };
 

@@ -1,13 +1,14 @@
 // ImplicitGraph: a GraphView that never materialises edges.
 //
 // Every adjacency query is answered by the topology's closed-form implicit
-// API (Topology::sorted_neighbors / neighbor / neighbor_position), so the
-// whole view is O(1) memory regardless of node count — hypercube 20 (2^20
-// nodes, 2^20·20 directed edges) costs the same few dozen bytes as
-// hypercube 4. neighbors()/mirror_positions() return small by-value arrays
-// rather than spans into storage; the solver templates consume either shape
-// identically. No mutable scratch: the view is safe to share across the
-// engine's worker threads.
+// API (Topology::sorted_neighbors / neighbor / neighbor_position /
+// mirror_position), so the whole view is O(1) memory regardless of node
+// count — hypercube 20 (2^20 nodes, 2^20·20 directed edges) costs the same
+// few dozen bytes as hypercube 4. neighbors() returns a small by-value array
+// rather than a span into storage; the solver templates consume either shape
+// identically. Mirror positions are answered one at a time, so the solver
+// computes one only for the member it admits. No mutable scratch: the view
+// is safe to share across the engine's worker threads.
 #pragma once
 
 #include <cstdint>
@@ -44,24 +45,6 @@ class ImplicitGraph {
     unsigned count_ = 0;
   };
 
-  /// Mirror positions of one node, aligned with its AdjacencyList.
-  class MirrorList {
-   public:
-    [[nodiscard]] std::size_t size() const noexcept { return count_; }
-    [[nodiscard]] std::uint32_t operator[](std::size_t i) const noexcept {
-      return pos_[i];
-    }
-    [[nodiscard]] const std::uint32_t* begin() const noexcept { return pos_; }
-    [[nodiscard]] const std::uint32_t* end() const noexcept {
-      return pos_ + count_;
-    }
-
-   private:
-    friend class ImplicitGraph;
-    std::uint32_t pos_[kMaxDegree];
-    unsigned count_ = 0;
-  };
-
   /// Owning: keeps the topology alive for the view's lifetime (the engine's
   /// calibration path hands the topology over this way).
   explicit ImplicitGraph(std::shared_ptr<const Topology> topology)
@@ -93,18 +76,6 @@ class ImplicitGraph {
 
   [[nodiscard]] unsigned mirror_position(Node u, unsigned p) const {
     return topo_->mirror_position(u, p);
-  }
-
-  [[nodiscard]] MirrorList mirror_positions(Node u) const {
-    AdjacencyList adj;
-    adj.count_ = topo_->sorted_neighbors(u, adj.node_);
-    MirrorList mirrors;
-    mirrors.count_ = adj.count_;
-    for (unsigned p = 0; p < adj.count_; ++p) {
-      mirrors.pos_[p] =
-          static_cast<std::uint32_t>(topo_->neighbor_position(adj.node_[p], u));
-    }
-    return mirrors;
   }
 
   [[nodiscard]] bool has_edge(Node u, Node v) const {

@@ -2,7 +2,10 @@
 //
 // BitVec backs syndrome tables (hundreds of millions of bits).
 // StampSet gives O(1) clear between repeated algorithm runs over the same
-// graph, which keeps Set_Builder at O(Δ·|U_r|) rather than O(N) per probe.
+// graph (traversals, injectors, baselines). DirtyBitset clears only the
+// words it dirtied; Set_Builder keeps its membership sets in those, and with
+// its frontier-window scan a restricted probe of a contiguous component
+// costs O(Δ·|U_r|) rather than O(N).
 #pragma once
 
 #include <cassert>

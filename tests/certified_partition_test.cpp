@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/certified_partition.hpp"
+#include "graph/implicit_graph.hpp"
 #include "test_util.hpp"
 
 namespace mmdiag {
@@ -82,6 +83,20 @@ TEST(CertifiedPartition, DeltaZeroTrivial) {
   const auto cp = find_certified_partition(*inst.topo, inst.graph, 0,
                                            ParentRule::kSpread, true);
   EXPECT_GE(cp.plan->num_components(), 1u);
+}
+
+// The scale calibration's work, pinned: every one of hypercube 20's 32,768
+// components is probed, at 79 look-ups each. A calibration that gets
+// faster by checking fewer components, or by consulting fewer tests, fails
+// here.
+TEST(CertifiedPartition, ImplicitHypercube20ValidatesEveryComponent) {
+  const auto topo = make_topology_from_spec("hypercube 20");
+  const ImplicitGraph graph(*topo);
+  const auto cp = find_certified_partition(*topo, graph, 20,
+                                           ParentRule::kSpread, true);
+  EXPECT_EQ(cp.plan->num_components(), 32768u);
+  EXPECT_TRUE(cp.fully_validated);
+  EXPECT_EQ(cp.calibration_lookups, 2588672u);
 }
 
 TEST(ComponentCertifies, MatchesFullSearchDecision) {

@@ -1,7 +1,12 @@
 // Set_Builder (§4.1) unit and property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "core/set_builder.hpp"
+#include "graph/implicit_graph.hpp"
 #include "mm/injector.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -233,6 +238,102 @@ TEST(SetBuilder, IsolatedHealthySeedProducesSingleton) {
   EXPECT_EQ(res.members.size(), 1u);
   EXPECT_EQ(res.rounds, 0u);
   EXPECT_FALSE(res.all_healthy);
+}
+
+// Answers like `inner` but throws on its `throw_at`-th look-up, abandoning
+// the run that asked partway through.
+class ThrowingOracle final : public SyndromeOracle {
+ public:
+  ThrowingOracle(const SyndromeOracle& inner, std::uint64_t throw_at)
+      : inner_(&inner), throw_at_(throw_at) {}
+
+ protected:
+  [[nodiscard]] bool test_impl(Node u, unsigned i, unsigned j) const override {
+    if (lookups() == throw_at_) throw std::runtime_error("oracle failed");
+    return inner_->test(u, i, j);
+  }
+
+ private:
+  const SyndromeOracle* inner_;
+  std::uint64_t throw_at_;
+};
+
+// One builder serves every component of a plan in turn: ascending, then
+// descending, then again after each run abandoned by a throwing oracle.
+// Each run must equal a fresh builder's, look-ups included, so no scratch
+// (dirty bitsets, frontier bitmaps and the words a restricted round scans,
+// recorded parent positions) leaks from one run into the next.
+template <class GV>
+void check_reuse_matches_fresh(const GV& view, const SyndromeOracle& oracle,
+                               const PartitionPlan& plan, unsigned delta,
+                               ParentRule rule) {
+  SetBuilder reused(view, rule);
+  const auto k = static_cast<std::uint32_t>(plan.num_components());
+  std::vector<std::uint64_t> lookups_of(k, 0);
+  auto check = [&](std::uint32_t c) {
+    SCOPED_TRACE("component " + std::to_string(c));
+    const Node seed = plan.seed_of(c);
+    oracle.reset_lookups();
+    const auto got = reused.run_restricted(oracle, seed, delta, plan, c);
+    lookups_of[c] = oracle.lookups();
+    SetBuilder fresh(view, rule);
+    oracle.reset_lookups();
+    const auto want = fresh.run_restricted(oracle, seed, delta, plan, c);
+    EXPECT_EQ(got.members, want.members);
+    EXPECT_EQ(got.parent, want.parent);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.contributors, want.contributors);
+    EXPECT_EQ(got.all_healthy, want.all_healthy);
+    EXPECT_EQ(lookups_of[c], oracle.lookups());
+  };
+  for (std::uint32_t c = 0; c < k; ++c) check(c);
+  for (std::uint32_t c = k; c-- > 0;) check(c);
+
+  // Abandon each component's run in turn on its 8th look-up (its last where
+  // it takes fewer), which can leave admitted-but-unconsumed frontier bits
+  // behind, and run every component again after each.
+  for (std::uint32_t t = 0; t < k; ++t) {
+    if (lookups_of[t] == 0) continue;
+    SCOPED_TRACE("abandoned component " + std::to_string(t));
+    const std::uint64_t throw_at = std::min<std::uint64_t>(8, lookups_of[t]);
+    const ThrowingOracle thrower(oracle, throw_at);
+    EXPECT_THROW(
+        (void)reused.run_restricted(thrower, plan.seed_of(t), delta, plan, t),
+        std::runtime_error);
+    EXPECT_EQ(thrower.lookups(), throw_at);
+    for (std::uint32_t c = 0; c < k; ++c) check(c);
+  }
+}
+
+TEST(SetBuilder, ReusedBuilderMatchesFreshAcrossComponentsAndAbandonedRun) {
+  // PrefixBitsPlan, TuplePrefixPlan, and FixLastSymbolPlan, whose
+  // components are not contiguous id ranges.
+  for (const char* spec :
+       {"hypercube 7", "kary_ncube 4 3", "star 5", "pancake 5"}) {
+    SCOPED_TRACE(spec);
+    test::Instance inst(spec);
+    const ImplicitGraph implicit(*inst.topo);
+    const std::size_t n = inst.graph.num_nodes();
+    const unsigned delta = inst.topo->default_fault_bound();
+    Rng rng(2024);
+    const FaultSet faults(n, inject_uniform(n, delta, rng));
+    const LazyOracle csr_oracle(inst.graph, faults, FaultyBehavior::kRandom, 3);
+    const ImplicitLazyOracle implicit_oracle(implicit, faults,
+                                             FaultyBehavior::kRandom, 3);
+    const auto plans = inst.topo->partition_plans();
+    ASSERT_FALSE(plans.empty());
+    for (const auto& plan : plans) {
+      SCOPED_TRACE(plan->description());
+      for (const auto rule : {ParentRule::kLeastFirst, ParentRule::kSpread,
+                              ParentRule::kLeastSync,
+                              ParentRule::kHashSpread}) {
+        SCOPED_TRACE(to_string(rule));
+        check_reuse_matches_fresh(inst.graph, csr_oracle, *plan, delta, rule);
+        check_reuse_matches_fresh(implicit, implicit_oracle, *plan, delta,
+                                  rule);
+      }
+    }
+  }
 }
 
 }  // namespace
