@@ -190,10 +190,12 @@ int run(bool smoke, const std::string& out_path, unsigned max_threads) {
     // materialised as TableOracles, one thread each so the ratio isolates
     // the kernel (no pool effects). The scalar side is a one-lane
     // Diagnoser::diagnose loop over the same oracles. The syndrome count is
-    // floored at 128 so full 64-wide cohorts actually form even under
-    // --smoke.
+    // rounded up to a multiple of 64, and floored at 128, so the planner
+    // cuts the batch into full 64-wide cohorts even under --smoke.
     {
-      const std::size_t count = std::max<std::size_t>(config.syndromes, 128);
+      constexpr std::size_t kLanes = BitSlicedOracle::kMaxLanes;
+      const std::size_t count = std::max<std::size_t>(
+          (config.syndromes + kLanes - 1) / kLanes * kLanes, 2 * kLanes);
       const TableBatch tbatch =
           make_table_batch(config.spec, count, seq.delta());
       const auto cal = engine().calibration(config.spec);

@@ -65,6 +65,7 @@ with open("BENCH_batch.json") as f:
     report = json.load(f)
 rows = report["results"]
 assert rows, "BENCH_batch.json has no results"
+topologies = {r["topology"] for r in rows}
 sliced = [r for r in rows if r.get("mode") == "sliced_vs_scalar"]
 assert sliced, "no sliced_vs_scalar rows: bitsliced cohort path never ran"
 for r in sliced:
@@ -72,6 +73,8 @@ for r in sliced:
     assert r["identical_to_sequential"], \
         f"bitsliced cohort diverged from the scalar path: {r}"
     assert r["sliced_vs_scalar"] > 0, f"degenerate throughput ratio: {r}"
+assert {r["topology"] for r in sliced} == topologies, \
+    "a topology has no 64-wide sliced_vs_scalar row"
 print(f"bench smoke: {len(sliced)} sliced_vs_scalar rows, "
       "bitsliced cohorts bit-identical to the scalar path")
 PY
@@ -231,7 +234,8 @@ fi
 if command -v python3 >/dev/null; then
   python3 - <<'PY'
 import json
-for name in ("BENCH_scale.json", "BENCH_models.json", "BENCH_churn.json"):
+for name in ("BENCH_batch.json", "BENCH_scale.json", "BENCH_models.json",
+             "BENCH_churn.json"):
     try:
         with open(name) as f:
             report = json.load(f)

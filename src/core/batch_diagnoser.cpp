@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/certified_partition.hpp"
+#include "core/cohort_planner.hpp"
 #include "util/timer.hpp"
 
 namespace mmdiag {
@@ -51,52 +52,45 @@ BatchResult BatchDiagnoser::diagnose_all(
     if (oracle == nullptr) {
       throw std::invalid_argument("BatchDiagnoser: null oracle in batch");
     }
+    require_oracle_shape("BatchDiagnoser", *oracle, graph_->num_nodes(),
+                         graph_->min_degree(), graph_->max_degree());
   }
   BatchResult out;
   out.results.resize(oracles.size());
 
-  // Cohort formation: full 64-wide runs of TableOracle inputs, in input
-  // order, each become one bitsliced lockstep solve; the remainder (<64)
-  // and every non-table oracle stay scalar per-item work. Grouping only
-  // changes which instruction stream serves a syndrome — results and
-  // look-up counts per syndrome are bit-identical, so batch output still
-  // matches a sequential Diagnoser exactly.
-  std::vector<std::size_t> table_idx;
+  // Every TableOracle input is one run when the graph's rows fit one word;
+  // the planner cuts it into bitsliced cohorts (no scalar remainder from
+  // 64 inputs up), and the rest stay scalar per-item work.
+  // Grouping only changes which instruction stream serves a syndrome —
+  // results and look-up counts per syndrome are bit-identical, so batch
+  // output still matches a sequential Diagnoser exactly.
+  std::vector<std::size_t> run_of(oracles.size(), kNoRun);
   if (graph_->max_degree() <= 64) {
     for (std::size_t i = 0; i < oracles.size(); ++i) {
       if (dynamic_cast<const TableOracle*>(oracles[i]) != nullptr) {
-        table_idx.push_back(i);
+        run_of[i] = 0;
       }
     }
   }
-  const std::size_t num_cohorts = table_idx.size() / BitSlicedOracle::kMaxLanes;
-  std::vector<std::size_t> scalar_idx;
-  {
-    std::vector<bool> in_cohort(oracles.size(), false);
-    for (std::size_t k = 0; k < num_cohorts * BitSlicedOracle::kMaxLanes; ++k) {
-      in_cohort[table_idx[k]] = true;
-    }
-    for (std::size_t i = 0; i < oracles.size(); ++i) {
-      if (!in_cohort[i]) scalar_idx.push_back(i);
-    }
-  }
+  const CohortPlan plan = plan_cohorts(run_of);
 
   Timer timer;
   pool_.parallel_for(
-      num_cohorts + scalar_idx.size(), [&](unsigned lane, std::size_t item) {
-        if (item < num_cohorts) {
-          std::vector<const TableOracle*> cohort(BitSlicedOracle::kMaxLanes);
-          const std::size_t base = item * BitSlicedOracle::kMaxLanes;
-          for (unsigned k = 0; k < BitSlicedOracle::kMaxLanes; ++k) {
-            cohort[k] =
-                static_cast<const TableOracle*>(oracles[table_idx[base + k]]);
+      plan.cohorts.size() + plan.scalar.size(),
+      [&](unsigned lane, std::size_t item) {
+        if (item < plan.cohorts.size()) {
+          const std::vector<std::size_t>& idx = plan.cohorts[item];
+          std::vector<const TableOracle*> cohort;
+          cohort.reserve(idx.size());
+          for (const std::size_t i : idx) {
+            cohort.push_back(static_cast<const TableOracle*>(oracles[i]));
           }
           auto res = lanes_[lane]->diagnose_cohort(cohort);
-          for (unsigned k = 0; k < BitSlicedOracle::kMaxLanes; ++k) {
-            out.results[table_idx[base + k]] = std::move(res[k]);
+          for (std::size_t k = 0; k < idx.size(); ++k) {
+            out.results[idx[k]] = std::move(res[k]);
           }
         } else {
-          const std::size_t i = scalar_idx[item - num_cohorts];
+          const std::size_t i = plan.scalar[item - plan.cohorts.size()];
           out.results[i] = lanes_[lane]->diagnose(*oracles[i]);
         }
       });

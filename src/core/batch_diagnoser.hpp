@@ -67,12 +67,16 @@ class BatchDiagnoser {
   BatchDiagnoser(std::shared_ptr<const Graph> graph,
                  CertifiedPartition partition, BatchOptions options = {});
 
-  /// Diagnose every oracle; oracles[i] -> results[i]. Null entries are
-  /// rejected with std::invalid_argument. Full 64-wide runs of TableOracle
-  /// inputs, in input order, are solved as bitsliced cohorts
-  /// (Diagnoser::diagnose_cohort) when the graph's rows fit one word; the
-  /// remainder and every other oracle are solved one by one. Results and
-  /// look-up counts are bit-identical either way.
+  /// Diagnose every oracle; oracles[i] -> results[i]. Null entries, and
+  /// oracles whose graph differs from this batch's in node count or
+  /// minimum or maximum degree (an O(1) check each), are rejected with
+  /// std::invalid_argument before any solve. When the graph's rows fit one
+  /// word and the batch holds at least 64 TableOracle inputs, all of them
+  /// are solved as bitsliced cohorts (Diagnoser::diagnose_cohort):
+  /// plan_cohorts cuts them, in input order, into ceil(n / 64) cohorts of
+  /// near-equal width, so no table input is left to a scalar remainder.
+  /// Fewer table inputs, and every other oracle, are solved one by one.
+  /// Results and look-up counts are bit-identical either way.
   [[nodiscard]] BatchResult diagnose_all(
       const std::vector<const SyndromeOracle*>& oracles);
 

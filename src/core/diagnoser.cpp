@@ -191,7 +191,13 @@ DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
 }
 
 DiagnosisResult Diagnoser::diagnose(const SyndromeOracle& oracle) {
-  if (implicit_ != nullptr) return diagnose_impl_on(oracle, *implicit_);
+  if (implicit_ != nullptr) {
+    require_oracle_shape("Diagnoser", oracle, implicit_->num_nodes(),
+                         implicit_->min_degree(), implicit_->max_degree());
+    return diagnose_impl_on(oracle, *implicit_);
+  }
+  require_oracle_shape("Diagnoser", oracle, graph_->num_nodes(),
+                       graph_->min_degree(), graph_->max_degree());
   return diagnose_impl_on(oracle, *graph_);
 }
 
@@ -211,6 +217,8 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
     if (lane == nullptr) {
       throw std::invalid_argument("Diagnoser: null oracle in cohort");
     }
+    require_oracle_shape("Diagnoser", *lane, graph_->num_nodes(),
+                         graph_->min_degree(), graph_->max_degree());
   }
   const unsigned width = static_cast<unsigned>(lanes.size());
   std::vector<DiagnosisResult> out(width);

@@ -117,6 +117,9 @@ class Diagnoser {
             CertifiedPartition partition, DiagnoserOptions options = {});
 
   /// Diagnose one syndrome. The oracle's look-up counter is reset first.
+  /// Throws std::invalid_argument, before any look-up, when the oracle's
+  /// graph differs from this solver's in node count or minimum or maximum
+  /// degree (require_oracle_shape, O(1)).
   [[nodiscard]] DiagnosisResult diagnose(const SyndromeOracle& oracle);
 
   /// Diagnose up to 64 materialised syndromes over this calibration in
@@ -127,8 +130,10 @@ class Diagnoser {
   /// to calling diagnose() on each oracle alone; each oracle's counter is
   /// reset and refilled exactly as the scalar path does, so one failing
   /// lane never perturbs the rest. Degrees above 64 (no word-wide rows)
-  /// fall back to per-lane scalar solves. Throws std::invalid_argument on
-  /// an empty, >64-wide, or null-containing cohort.
+  /// fall back to per-lane scalar solves. Throws std::invalid_argument,
+  /// before any lane is touched, on an empty, >64-wide, or null-containing
+  /// cohort, or when a lane's graph differs from this solver's in node
+  /// count or minimum or maximum degree (O(1) per lane).
   [[nodiscard]] std::vector<DiagnosisResult> diagnose_cohort(
       const std::vector<const TableOracle*>& lanes);
 

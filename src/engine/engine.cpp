@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
+#include "core/cohort_planner.hpp"
 #include "topology/registry.hpp"
 #include "util/timer.hpp"
 
@@ -237,39 +241,39 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
   const std::lock_guard<std::mutex> serve_lock(serve_mu_);
   std::vector<DiagnosisResult> results(requests.size());
 
-  // Bitsliced cohorts: full 64-wide runs of same-spec TableOracle requests
-  // (in request order per spec) each become one lockstep solve
-  // (Diagnoser::diagnose_cohort) on whichever lane picks them up; the
-  // per-spec remainder and every other request stay scalar items.
+  // Bitsliced cohorts (core/cohort_planner.hpp): the well-formed MM*
+  // TableOracle requests of one raw spec string and one oracle graph shape
+  // (node count, minimum and maximum degree) form a run, and every run of
+  // 64 or more is cut, in request order, into near-equal cohorts of at most
+  // 64 lanes, each one lockstep solve (Diagnoser::diagnose_cohort) on
+  // whichever lane picks it up. Shorter runs and every other request stay
+  // scalar items. Keying on the shape keeps an oracle over another graph
+  // out of its spec's cohorts: it fails alone, on the O(1) shape check of
+  // whichever route serves it.
   // get_or_build still runs once per *request*, so cache hit/miss counters
   // and per-request calibration_reused semantics are exactly the scalar
   // path's. Per-syndrome results and look-up counts are bit-identical
   // either way.
-  std::vector<std::vector<std::size_t>> cohorts;
-  std::vector<std::size_t> scalar_idx;
+  std::vector<std::size_t> run_of(requests.size(), kNoRun);
   {
-    std::unordered_map<std::string, std::vector<std::size_t>> by_spec;
+    using RunKey =
+        std::tuple<std::string_view, std::size_t, unsigned, unsigned>;
+    std::map<RunKey, std::size_t> run_ids;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const EngineRequest& rq = requests[i];
-      if (rq.oracle != nullptr && rq.oracle->has_graph() &&
-          dynamic_cast<const TableOracle*>(rq.oracle) != nullptr &&
-          rq.oracle->graph().max_degree() <= 64) {
-        by_spec[rq.spec].push_back(i);
+      if (rq.oracle == nullptr || rq.directed != nullptr ||
+          rq.local_node != kNoNode || !rq.oracle->has_graph() ||
+          dynamic_cast<const TableOracle*>(rq.oracle) == nullptr) {
+        continue;
       }
-    }
-    std::vector<char> in_cohort(requests.size(), 0);
-    for (auto& [spec, idx] : by_spec) {
-      for (std::size_t k = 0; k + BitSlicedOracle::kMaxLanes <= idx.size();
-           k += BitSlicedOracle::kMaxLanes) {
-        cohorts.emplace_back(idx.begin() + k,
-                             idx.begin() + k + BitSlicedOracle::kMaxLanes);
-        for (const std::size_t i : cohorts.back()) in_cohort[i] = 1;
-      }
-    }
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (in_cohort[i] == 0) scalar_idx.push_back(i);
+      const Graph& g = rq.oracle->graph();
+      if (g.max_degree() > 64) continue;
+      const RunKey key{rq.spec, g.num_nodes(), g.min_degree(),
+                       g.max_degree()};
+      run_of[i] = run_ids.try_emplace(key, run_ids.size()).first->second;
     }
   }
+  const CohortPlan plan = plan_cohorts(run_of);
 
   // Lane-local Diagnoser per calibration: scratch (frontiers, stamp sets)
   // is reused across the stream without crossing threads. Stale entries
@@ -321,10 +325,10 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
   };
 
   pool_.parallel_for(
-      cohorts.size() + scalar_idx.size(),
+      plan.cohorts.size() + plan.scalar.size(),
       [&](unsigned lane, std::size_t item) {
-        if (item < cohorts.size()) {
-          const std::vector<std::size_t>& idx = cohorts[item];
+        if (item < plan.cohorts.size()) {
+          const std::vector<std::size_t>& idx = plan.cohorts[item];
           try {
             const Timer setup_timer;
             std::shared_ptr<const Calibration> cal;
@@ -375,7 +379,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
           }
           return;
         }
-        const std::size_t i = scalar_idx[item - cohorts.size()];
+        const std::size_t i = plan.scalar[item - plan.cohorts.size()];
         const EngineRequest& request = requests[i];
         DiagnosisResult& out = results[i];
         if (request.oracle != nullptr && request.directed != nullptr) {

@@ -138,10 +138,17 @@ class DiagnosisEngine {
 
   /// Diagnose a mixed-spec request stream over the engine's ThreadPool,
   /// reusing per-lane Diagnoser scratch per calibration. requests[i] ->
-  /// results[i]. Per-request failures (unknown spec, uncertifiable bound)
-  /// become failed results, never exceptions — one bad request must not
-  /// poison a stream. Serialised: concurrent serve() calls run one at a
-  /// time (each already uses every pool lane).
+  /// results[i]. Every run of at least 64 MM* TableOracle requests with
+  /// one spec string and one oracle graph shape is solved as bitsliced
+  /// cohorts of near-equal width (plan_cohorts), with no scalar remainder;
+  /// shorter runs and every other request are solved one by one. Results
+  /// are bit-identical either way. Per-request failures (unknown spec,
+  /// uncertifiable bound, an oracle whose graph differs from the
+  /// calibration's in node count or minimum or maximum degree) become
+  /// failed results, never exceptions — one bad request must not poison a
+  /// stream.
+  /// Serialised: concurrent serve() calls run one at a time (each already
+  /// uses every pool lane).
   [[nodiscard]] std::vector<DiagnosisResult> serve(
       const std::vector<EngineRequest>& requests);
 

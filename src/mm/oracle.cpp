@@ -1,4 +1,35 @@
 #include "mm/oracle.hpp"
 
-// All oracle methods are inline; this TU exists to anchor the vtables.
-namespace mmdiag {}  // namespace mmdiag
+#include <string>
+
+namespace mmdiag {
+
+namespace {
+
+std::string shape(std::size_t nodes, unsigned min_degree,
+                  unsigned max_degree) {
+  std::string out = std::to_string(nodes) + " nodes of degree " +
+                    std::to_string(min_degree);
+  if (max_degree != min_degree) out += ".." + std::to_string(max_degree);
+  return out;
+}
+
+}  // namespace
+
+void require_oracle_shape(const char* who, const SyndromeOracle& oracle,
+                          std::size_t nodes, unsigned min_degree,
+                          unsigned max_degree) {
+  if (!oracle.has_graph()) return;
+  const Graph& g = oracle.graph();
+  if (g.num_nodes() == nodes && g.min_degree() == min_degree &&
+      g.max_degree() == max_degree) {
+    return;
+  }
+  throw std::invalid_argument(
+      std::string(who) + ": the oracle addresses a graph of " +
+      shape(g.num_nodes(), g.min_degree(), g.max_degree()) +
+      ", but the solver's graph has " +
+      shape(nodes, min_degree, max_degree));
+}
+
+}  // namespace mmdiag

@@ -69,6 +69,18 @@ class SyndromeOracle {
   mutable std::uint64_t lookups_ = 0;
 };
 
+/// Throws std::invalid_argument, naming both shapes, when `oracle` reads a
+/// graph whose node count, minimum degree or maximum degree differs from
+/// the solver's: a request paired with another graph's syndrome would
+/// otherwise index past that syndrome's rows. Against a regular solver
+/// graph (every calibration's is) a match means the oracle's graph is
+/// regular of the same degree, so its syndrome places every row where the
+/// solver reads it; against an irregular one the check is necessary, not
+/// sufficient. O(1); graph-less oracles pass. `who` prefixes the message.
+void require_oracle_shape(const char* who, const SyndromeOracle& oracle,
+                          std::size_t nodes, unsigned min_degree,
+                          unsigned max_degree);
+
 /// Reads a pre-materialised syndrome table.
 class TableOracle final : public SyndromeOracle {
  public:
@@ -220,13 +232,17 @@ class BitSlicedOracle {
     }
   }
 
-  /// Registers the next lane; throws std::invalid_argument past 64 lanes.
-  /// The oracle must address the same adjacency as graph() — the standard
+  /// Registers the next lane; throws std::invalid_argument past 64 lanes
+  /// or when the lane's graph differs from graph() in node count or
+  /// minimum or maximum degree (require_oracle_shape). The oracle must
+  /// address the same adjacency as graph() — the standard
   /// cohort-by-shared-spec rule.
   unsigned add_lane(const TableOracle& lane) {
     if (width_ >= kMaxLanes) {
       throw std::invalid_argument("BitSlicedOracle: cohort wider than 64");
     }
+    require_oracle_shape("BitSlicedOracle", lane, graph_->num_nodes(),
+                         graph_->min_degree(), graph_->max_degree());
     lanes_[width_] = &lane;
     // A cached block encodes the cohort width it was built at (unused lanes
     // zero-filled), so widening the cohort invalidates everything.

@@ -3,12 +3,16 @@
 // thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/batch_diagnoser.hpp"
+#include "core/cohort_planner.hpp"
 #include "core/diagnoser.hpp"
 #include "mm/injector.hpp"
 #include "test_util.hpp"
@@ -312,14 +316,15 @@ TableTestBatch make_table_batch(const test::Instance& inst, unsigned delta,
 }
 
 TEST(BatchDiagnoser, BitslicedCohortsMatchScalarAtEveryWidth) {
-  // Widths straddling the 64-lane cohort boundary: 63 (no cohort forms),
-  // 64 (exactly one), 65 (one cohort + one scalar straggler), 130 (two
-  // cohorts + two stragglers). Each width is checked against the
-  // sequential Diagnoser.
+  // Batch sizes around the planner's cuts: 15, 16 and 63 (below 64, all
+  // scalar), 64 (one cohort), 65 (two of 33 and 32), 70 (two of 35) and
+  // 130 (three of 44, 43 and 43). Each is checked against the sequential
+  // Diagnoser.
   test::Instance inst("hypercube 7");
   Diagnoser sequential(*inst.topo, inst.graph);
-  for (const std::size_t count : {std::size_t{63}, std::size_t{64},
-                                  std::size_t{65}, std::size_t{130}}) {
+  for (const std::size_t count :
+       {std::size_t{15}, std::size_t{16}, std::size_t{63}, std::size_t{64},
+        std::size_t{65}, std::size_t{70}, std::size_t{130}}) {
     SCOPED_TRACE(count);
     const TableTestBatch batch =
         make_table_batch(inst, sequential.delta(), count);
@@ -422,6 +427,139 @@ TEST(BatchDiagnoser, NullOracleRejected) {
   test::Instance inst("hypercube 7");
   BatchDiagnoser engine(*inst.topo, inst.graph);
   EXPECT_THROW((void)engine.diagnose_all({nullptr}), std::invalid_argument);
+}
+
+TEST(BatchDiagnoser, OracleOverAnotherGraphShapeIsRejected) {
+  // Two strays fed to a hypercube 7 solver: a hypercube 5 syndrome, and
+  // one over hypercube 7 minus an edge, which only its minimum degree
+  // tells apart. Every entry point refuses each, alone and after 63
+  // matched tables, with both shapes named, before reading a single
+  // result.
+  test::Instance q7("hypercube 7");
+  test::Instance q5("hypercube 5");
+  const Graph cut = test::without_edge(q7.graph, 126, 127);
+  Diagnoser solver(*q7.topo, q7.graph);
+  const TableTestBatch matched = make_table_batch(q7, solver.delta(), 63);
+  const TableTestBatch small = make_table_batch(q5, 3, 1);
+  const Syndrome cut_syndrome = generate_syndrome(
+      cut, FaultSet(cut.num_nodes(), {}), FaultyBehavior::kRandom, 1);
+  const TableOracle cut_oracle(cut, cut_syndrome);
+  const std::string solver_shape =
+      ", but the solver's graph has 128 nodes of degree 7";
+  const struct {
+    const TableOracle& oracle;
+    std::string shape;
+  } strays[] = {{small.oracles[0], "32 nodes of degree 5"},
+                {cut_oracle, "128 nodes of degree 6..7"}};
+
+  for (const auto& entry : strays) {
+    SCOPED_TRACE(entry.shape);
+    const TableOracle& stray = entry.oracle;
+    const std::string reason =
+        "the oracle addresses a graph of " + entry.shape + solver_shape;
+    auto expect_rejected = [&](auto&& call, const char* who) {
+      try {
+        call();
+        ADD_FAILURE() << who << " accepted an oracle over another graph";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+            << who << ": " << e.what();
+      }
+    };
+    std::vector<const TableOracle*> lanes;
+    std::vector<const SyndromeOracle*> batch;
+    for (const TableOracle& o : matched.oracles) {
+      lanes.push_back(&o);
+      batch.push_back(&o);
+    }
+    lanes.push_back(&stray);
+    batch.push_back(&stray);
+
+    expect_rejected([&] { (void)solver.diagnose(stray); }, "diagnose");
+    expect_rejected([&] { (void)solver.diagnose_cohort({&stray}); },
+                    "diagnose_cohort alone");
+    expect_rejected([&] { (void)solver.diagnose_cohort(lanes); },
+                    "diagnose_cohort");
+    expect_rejected(
+        [&] {
+          BitSlicedOracle sliced(q7.graph);
+          (void)sliced.add_lane(stray);
+        },
+        "add_lane alone");
+    expect_rejected(
+        [&] {
+          BitSlicedOracle sliced(q7.graph);
+          for (const TableOracle* lane : lanes) (void)sliced.add_lane(*lane);
+        },
+        "add_lane");
+    BatchDiagnoser whole(*q7.topo, q7.graph);
+    expect_rejected(
+        [&] {
+          (void)whole.diagnose_all(std::vector<const SyndromeOracle*>{&stray});
+        },
+        "diagnose_all alone");
+    expect_rejected([&] { (void)whole.diagnose_all(batch); }, "diagnose_all");
+    EXPECT_EQ(stray.lookups(), 0u);
+  }
+}
+
+TEST(CohortPlanner, CutsEveryRunIntoNearEqualOrderedCohorts) {
+  // One run of n requests, n = 0..200: every index lands exactly once,
+  // request order holds within and across cohorts, and cohort widths lie
+  // in [32, 64] and differ by at most one. Below 64 nothing forms.
+  for (std::size_t n = 0; n <= 200; ++n) {
+    SCOPED_TRACE(n);
+    const CohortPlan plan = plan_cohorts(std::vector<std::size_t>(n, 0));
+    if (n < BitSlicedOracle::kMaxLanes) {
+      EXPECT_TRUE(plan.cohorts.empty());
+      EXPECT_EQ(plan.scalar.size(), n);
+    } else {
+      EXPECT_TRUE(plan.scalar.empty());
+      EXPECT_EQ(plan.cohorts.size(), (n + 63) / 64);
+    }
+    std::vector<std::size_t> seen = plan.scalar;
+    std::size_t narrowest = SIZE_MAX;
+    std::size_t widest = 0;
+    for (const std::vector<std::size_t>& cohort : plan.cohorts) {
+      narrowest = std::min(narrowest, cohort.size());
+      widest = std::max(widest, cohort.size());
+      seen.insert(seen.end(), cohort.begin(), cohort.end());
+    }
+    if (!plan.cohorts.empty()) {
+      EXPECT_GE(narrowest, 32u);
+      EXPECT_LE(widest, 64u);
+      EXPECT_LE(widest - narrowest, 1u);
+    }
+    // Concatenated in plan order, the indices are exactly 0..n-1.
+    std::vector<std::size_t> expected(n);
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    EXPECT_EQ(seen, expected);
+  }
+}
+
+TEST(CohortPlanner, RunsStaySeparateAndUnrunRequestsStayScalar) {
+  // Two interleaved runs (65 and 63 requests) and some requests with no
+  // run: the 65-run makes two cohorts, the 63-run and the rest stay
+  // scalar.
+  std::vector<std::size_t> run_of;
+  for (std::size_t i = 0; i < 160; ++i) {
+    run_of.push_back(i % 5 == 4 ? kNoRun : i % 2 == 0 ? 3 : 7);
+  }
+  // Run 3 holds the even indices not ≡ 4 (mod 5): 64 of them; run 7 the
+  // odd ones: 64. Move one request from run 7 to run 3.
+  run_of[1] = 3;
+  const CohortPlan plan = plan_cohorts(run_of);
+  ASSERT_EQ(plan.cohorts.size(), 2u);
+  EXPECT_EQ(plan.cohorts[0].size(), 33u);
+  EXPECT_EQ(plan.cohorts[1].size(), 32u);
+  EXPECT_LT(plan.cohorts[0].back(), plan.cohorts[1].front());
+  for (const std::vector<std::size_t>& cohort : plan.cohorts) {
+    for (const std::size_t i : cohort) EXPECT_EQ(run_of[i], 3u) << i;
+    EXPECT_TRUE(std::is_sorted(cohort.begin(), cohort.end()));
+  }
+  EXPECT_EQ(plan.scalar.size(), 160u - 65u);
+  EXPECT_TRUE(std::is_sorted(plan.scalar.begin(), plan.scalar.end()));
+  for (const std::size_t i : plan.scalar) EXPECT_NE(run_of[i], 3u) << i;
 }
 
 }  // namespace

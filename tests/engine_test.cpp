@@ -4,17 +4,23 @@
 // Diagnosers across every registry family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/diagnoser.hpp"
+#include "core/directed_diagnoser.hpp"
 #include "engine/engine.hpp"
 #include "graph/implicit_graph.hpp"
+#include "mm/directed_oracle.hpp"
 #include "mm/injector.hpp"
+#include "mm/syndrome.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -148,6 +154,201 @@ TEST(DiagnosisEngine, ServeIsolatesPerRequestFailures) {
             std::string::npos);
   EXPECT_FALSE(served[2].success);
   EXPECT_NE(served[2].failure_reason.find("null oracle"), std::string::npos);
+}
+
+/// Oracles for one serve() stream and everything they point into. Deques
+/// keep addresses stable as requests are added.
+struct StreamOracles {
+  std::deque<FaultSet> faults;
+  std::deque<Syndrome> syndromes;
+  std::deque<TableOracle> tables;
+  std::deque<LazyOracle> lazies;
+  std::deque<DirectedLazyOracle> directed;
+
+  /// The k-th syndrome of a stream over `g`: |F| cycles 0..delta under all
+  /// four faulty behaviours.
+  const FaultSet& next_faults(const Graph& g, unsigned delta, std::size_t k,
+                              Rng& rng) {
+    const std::size_t n = g.num_nodes();
+    return faults.emplace_back(n, inject_uniform(n, k % (delta + 1), rng));
+  }
+  const TableOracle& table(const Graph& g, unsigned delta, std::size_t k,
+                           Rng& rng) {
+    const FaultSet& f = next_faults(g, delta, k, rng);
+    const Syndrome& s = syndromes.emplace_back(generate_syndrome(
+        g, f, kAllFaultyBehaviors[(k / (delta + 1)) % 4], rng()));
+    return tables.emplace_back(g, s);
+  }
+  const LazyOracle& lazy(const Graph& g, unsigned delta, std::size_t k,
+                         Rng& rng) {
+    const FaultSet& f = next_faults(g, delta, k, rng);
+    return lazies.emplace_back(g, f,
+                               kAllFaultyBehaviors[(k / (delta + 1)) % 4],
+                               rng());
+  }
+};
+
+TEST(DiagnosisEngine, ServeCohortRunsLandAtTheirIndexBitIdentical) {
+  // Table runs of two specs at lengths around the cohort planner's cuts:
+  // 15, 16 and 63 stay scalar, 64 makes one cohort, 65 two, 130 three.
+  // Each round shuffles them, from a fixed seed, among lazy requests and
+  // one PMC request. Every result must land at its own index and equal
+  // the direct solver's, so a cohort that hands a lane another lane's
+  // answer fails here.
+  EngineOptions options;
+  options.threads = 3;
+  options.graph_mode = GraphMode::kCsr;
+  DiagnosisEngine engine(options);
+  const test::Instance cube("hypercube 7");
+  const test::Instance star("star 5");
+  Diagnoser cube_direct(*cube.topo, cube.graph);
+  Diagnoser star_direct(*star.topo, star.graph);
+  DirectedDiagnoser pmc_direct(cube.graph, cube_direct.delta());
+
+  enum class Kind { kCubeTable, kStarTable, kCubeLazy, kStarLazy, kPmc };
+  constexpr std::size_t kRunLengths[] = {15, 16, 63, 64, 65, 130};
+  constexpr std::size_t kCount = std::size(kRunLengths);
+  for (std::size_t round = 0; round < kCount; ++round) {
+    // hypercube 7 takes this round's length, star 5 the length three
+    // along, so both specs meet every length.
+    const std::size_t cube_run = kRunLengths[round];
+    const std::size_t star_run = kRunLengths[(round + 3) % kCount];
+    SCOPED_TRACE("hypercube 7 x" + std::to_string(cube_run) + ", star 5 x" +
+                 std::to_string(star_run));
+    std::vector<Kind> kinds;
+    kinds.insert(kinds.end(), cube_run, Kind::kCubeTable);
+    kinds.insert(kinds.end(), star_run, Kind::kStarTable);
+    kinds.insert(kinds.end(), 5, Kind::kCubeLazy);
+    kinds.insert(kinds.end(), 4, Kind::kStarLazy);
+    kinds.push_back(Kind::kPmc);
+    Rng rng(0x5EED00 + round);
+    for (std::size_t i = kinds.size(); i > 1; --i) {
+      std::swap(kinds[i - 1], kinds[rng.below(i)]);
+    }
+
+    StreamOracles oracles;
+    std::vector<EngineRequest> requests;
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      switch (kinds[k]) {
+        case Kind::kCubeTable:
+          requests.push_back({"hypercube 7",
+                              &oracles.table(cube.graph, cube_direct.delta(), k, rng),
+                              nullptr, kNoNode});
+          break;
+        case Kind::kStarTable:
+          requests.push_back({"star 5",
+                              &oracles.table(star.graph, star_direct.delta(), k, rng),
+                              nullptr, kNoNode});
+          break;
+        case Kind::kCubeLazy:
+          requests.push_back({"hypercube 7",
+                              &oracles.lazy(cube.graph, cube_direct.delta(), k, rng),
+                              nullptr, kNoNode});
+          break;
+        case Kind::kStarLazy:
+          requests.push_back({"star 5",
+                              &oracles.lazy(star.graph, star_direct.delta(), k, rng),
+                              nullptr, kNoNode});
+          break;
+        case Kind::kPmc: {
+          const FaultSet& f = oracles.next_faults(cube.graph, 3, 2, rng);
+          requests.push_back(
+              {"hypercube 7", nullptr,
+               &oracles.directed.emplace_back(cube.graph, f,
+                                              DiagnosisModel::kPMC,
+                                              FaultyBehavior::kRandom, rng()),
+               kNoNode});
+          break;
+        }
+      }
+    }
+
+    const std::vector<DiagnosisResult> served = engine.serve(requests);
+    ASSERT_EQ(served.size(), requests.size());
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      const EngineRequest& rq = requests[i];
+      const DiagnosisResult expected =
+          rq.directed != nullptr ? pmc_direct.diagnose(*rq.directed)
+          : rq.spec == "star 5"  ? star_direct.diagnose(*rq.oracle)
+                                 : cube_direct.diagnose(*rq.oracle);
+      expect_bit_identical(expected, served[i], i);
+    }
+  }
+}
+
+TEST(DiagnosisEngine, ServeFailsRequestsWhoseOracleAddressesAnotherGraph) {
+  // Three strays sent as "hypercube 7": a hypercube 5 table and lazy
+  // oracle, which would read a 32-node syndrome through 128-node
+  // adjacency, and a table over hypercube 7 minus an edge, whose node
+  // count and maximum degree match. Each must fail alone with a message
+  // naming both shapes: first sent alone, then among 64 matched table
+  // requests (a cohort run), which stay bit-identical to the direct
+  // Diagnoser. The third stream adds 64 more hypercube 5 and 64 more cut
+  // tables, runs long enough to form cohorts of their own, which must
+  // fail lane by lane the same way.
+  EngineOptions options;
+  options.threads = 2;
+  options.graph_mode = GraphMode::kCsr;
+  DiagnosisEngine engine(options);
+  const test::Instance q7("hypercube 7");
+  const test::Instance q5("hypercube 5");
+  const Graph cut = test::without_edge(q7.graph, 126, 127);
+  Diagnoser direct(*q7.topo, q7.graph);
+  const std::string solver_shape =
+      ", but the solver's graph has 128 nodes of degree 7";
+  const std::string q5_reason =
+      "the oracle addresses a graph of 32 nodes of degree 5" + solver_shape;
+  const std::string cut_reason =
+      "the oracle addresses a graph of 128 nodes of degree 6..7" +
+      solver_shape;
+
+  const struct {
+    std::size_t matched;
+    std::size_t extra_strays;
+  } streams[] = {{0, 0}, {64, 0}, {64, 64}};
+  for (const auto& stream : streams) {
+    SCOPED_TRACE(std::to_string(stream.matched) + " matched, " +
+                 std::to_string(stream.extra_strays) + " extra strays");
+    StreamOracles oracles;
+    Rng rng(0xBAD5 + stream.matched + stream.extra_strays);
+    std::vector<EngineRequest> requests;
+    std::vector<std::string> reasons;  // empty for a matched request
+    auto send = [&](const SyndromeOracle& oracle, const std::string& reason) {
+      requests.push_back({"hypercube 7", &oracle, nullptr, kNoNode});
+      reasons.push_back(reason);
+    };
+    for (std::size_t k = 0; k < std::max<std::size_t>(stream.matched, 1);
+         ++k) {
+      if (k < stream.matched) {
+        send(oracles.table(q7.graph, direct.delta(), k, rng), "");
+      }
+      if (k == std::min<std::size_t>(stream.matched, 6)) {
+        send(oracles.table(q5.graph, 3, k, rng), q5_reason);
+      }
+      if (k == std::min<std::size_t>(stream.matched, 13)) {
+        send(oracles.lazy(q5.graph, 3, k, rng), q5_reason);
+      }
+      if (k == std::min<std::size_t>(stream.matched, 40)) {
+        send(oracles.table(cut, 3, k, rng), cut_reason);
+      }
+      if (k < stream.extra_strays) {
+        send(oracles.table(q5.graph, 3, k, rng), q5_reason);
+        send(oracles.table(cut, 3, k, rng), cut_reason);
+      }
+    }
+
+    const std::vector<DiagnosisResult> served = engine.serve(requests);
+    ASSERT_EQ(served.size(), requests.size());
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      if (!reasons[i].empty()) {
+        EXPECT_FALSE(served[i].success) << "item " << i;
+        EXPECT_NE(served[i].failure_reason.find(reasons[i]), std::string::npos)
+            << "item " << i << ": " << served[i].failure_reason;
+        continue;
+      }
+      expect_bit_identical(direct.diagnose(*requests[i].oracle), served[i], i);
+    }
+  }
 }
 
 TEST(DiagnosisEngine, CanonicalSpecSharingAcrossSpellings) {

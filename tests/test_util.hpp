@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "mm/fault_set.hpp"
 #include "mm/oracle.hpp"
@@ -23,6 +24,18 @@ struct Instance {
   explicit Instance(const std::string& spec)
       : topo(make_topology_from_spec(spec)), graph(topo->build_graph()) {}
 };
+
+/// `g` without the edge {u, v}: the node count and maximum degree stay,
+/// but u and v lose a neighbour each, so a regular `g` turns irregular.
+inline Graph without_edge(const Graph& g, Node u, Node v) {
+  return build_graph_from_generator(
+      g.num_nodes(), [&](Node x, std::vector<Node>& out) {
+        for (const Node y : g.neighbors(x)) {
+          if ((x == u && y == v) || (x == v && y == u)) continue;
+          out.push_back(y);
+        }
+      });
+}
 
 /// Sorted copy helper for comparing fault lists.
 inline std::vector<Node> sorted(std::vector<Node> v) {
