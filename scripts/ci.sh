@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
-# Tier-1 verify, exactly as ROADMAP.md specifies:
+# Tier-1 verify, the ROADMAP.md recipe
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
-# followed by a perfbench answer-check smoke (one 2-second traced run per
-# workload), bench smokes (bench_batch on tiny instances must emit a
-# BENCH_batch.json that parses as JSON; skipped if google-benchmark was not
-# found), an engine-cache smoke, a Release build with its own ctest run, an
-# ASan+UBSan pass over every ctest case, a TSan pass over the threaded
-# suites, and a fuzz smoke: 200 deterministic differential cases of
-# the §5 driver against the exact solver. A fuzz divergence exits non-zero
-# and leaves minimized repro files in build/fuzz-repros/ (uploaded as a CI
-# artifact; check the repro into tests/corpus/ once the bug is fixed).
+# with every build and ctest step bounded at -j "$(nproc)": a bare -j lets
+# make start every ready compile at once. After it come a perfbench
+# answer-check smoke (one 2-second traced run per workload); bench smokes
+# on tiny instances whose JSON is re-checked here (bench_batch,
+# bench_engine, bench_scale, bench_models and bench_churn, each skipped when
+# not built); a Release build with its own ctest run; an ASan+UBSan pass
+# over every ctest case plus a 200-case fuzz smoke; a TSan pass over the
+# threaded suites; and fuzz smokes: 200 deterministic differential cases of
+# the §5 driver against the exact solver, then 60 per diagnosis model. A
+# fuzz divergence exits non-zero and leaves minimized repro files in
+# build/fuzz-repros/ (uploaded as a CI artifact; check the repro into
+# tests/corpus/ once the bug is fixed).
 #
 # Run from the repository root. Pass extra cmake arguments through, e.g.
 #   scripts/ci.sh -DMMDIAG_FORCE_BUNDLED_GTEST=ON
@@ -17,10 +20,12 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+jobs="$(nproc)"
+
 cmake -B build -S . "$@"
-cmake --build build -j
+cmake --build build -j "$jobs"
 cd build
-ctest --output-on-failure -j
+ctest --output-on-failure -j "$jobs"
 
 if command -v python3 >/dev/null; then
   # perfbench answer-check smoke: one short traced run per workload (the
@@ -254,8 +259,8 @@ fi
 # NDEBUG code.
 cd ..
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
-cmake --build build-release -j
-(cd build-release && ctest --output-on-failure -j)
+cmake --build build-release -j "$jobs"
+(cd build-release && ctest --output-on-failure -j "$jobs")
 
 # ASan+UBSan pass over every ctest case (the gtest suites, the corpus
 # replays and the CLI usage cases) and the 200-case fuzz smoke: an
@@ -266,8 +271,8 @@ cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DMMDIAG_BUILD_BENCH=OFF "$@"
-cmake --build build-asan -j
-(cd build-asan && ctest --output-on-failure -j)
+cmake --build build-asan -j "$jobs"
+(cd build-asan && ctest --output-on-failure -j "$jobs")
 if [ -x build-asan/examples/mmdiag_cli ]; then
   ./build-asan/examples/mmdiag_cli fuzz --cases 200 --seed 1 --max-bugs 3 \
     --budget-seconds 120 --out-dir build-asan/fuzz-repros \
@@ -286,7 +291,7 @@ cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DMMDIAG_BUILD_BENCH=OFF -DMMDIAG_BUILD_EXAMPLES=OFF "$@"
-cmake --build build-tsan -j --target batch_test engine_test churn_test \
+cmake --build build-tsan -j "$jobs" --target batch_test engine_test churn_test \
   util_test
 for suite in batch_test engine_test churn_test util_test; do
   "./build-tsan/tests/$suite"

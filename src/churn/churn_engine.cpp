@@ -140,7 +140,19 @@ ChurnDiagnosis ChurnEngine::to_diagnosis(const SolveOutput& out) {
   return d;
 }
 
+void ChurnEngine::require_shape(const SyndromeOracle& oracle) const {
+  if (cal_->is_implicit()) {
+    const ImplicitGraph& g = *cal_->implicit_view;
+    require_oracle_shape("ChurnEngine", oracle, g.num_nodes(), g.min_degree(),
+                         g.max_degree());
+  } else {
+    require_oracle_shape("ChurnEngine", oracle, cal_->graph.num_nodes(),
+                         cal_->graph.min_degree(), cal_->graph.max_degree());
+  }
+}
+
 ChurnDiagnosis ChurnEngine::diagnose(const SyndromeOracle& oracle) {
+  require_shape(oracle);
   const std::lock_guard<std::mutex> lock(mu_);
   cache_ = full_solve(oracle, cert_);
   cache_valid_ = true;
@@ -152,6 +164,7 @@ ChurnDiagnosis ChurnEngine::diagnose(const SyndromeOracle& oracle) {
 }
 
 ChurnDiagnosis ChurnEngine::diagnose_cold(const SyndromeOracle& oracle) {
+  require_shape(oracle);
   const std::lock_guard<std::mutex> lock(mu_);
   const std::vector<ComponentChurnState> cold_cert =
       recert_.recertify_all(overlay_);
@@ -165,6 +178,7 @@ ChurnDiagnosis ChurnEngine::diagnose_cold(const SyndromeOracle& oracle) {
 
 ChurnDiagnosis ChurnEngine::diagnose_delta(
     const SyndromeOracle& oracle, const std::vector<Node>& changed_nodes) {
+  require_shape(oracle);
   const std::lock_guard<std::mutex> lock(mu_);
   for (const Node x : changed_nodes) {
     if (x >= overlay_.num_nodes()) {

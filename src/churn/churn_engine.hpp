@@ -118,7 +118,10 @@ class ChurnEngine {
   void apply(const ChurnDelta& delta);
 
   /// Full solve against the current certification state; binds the solve
-  /// cache to this oracle's current rows.
+  /// cache to this oracle's current rows. Like diagnose_delta and
+  /// diagnose_cold, throws std::invalid_argument, before any solve or cache
+  /// change, when the oracle's view differs from the base calibration's in
+  /// node count or minimum or maximum degree (require_oracle_shape, O(1)).
   [[nodiscard]] ChurnDiagnosis diagnose(const SyndromeOracle& oracle);
 
   /// Syndrome-delta solve: `changed_nodes` are the nodes whose *own rows*
@@ -178,6 +181,7 @@ class ChurnEngine {
       const SyndromeOracle& oracle,
       const std::vector<ComponentChurnState>& cert);
   [[nodiscard]] static ChurnDiagnosis to_diagnosis(const SolveOutput& out);
+  void require_shape(const SyndromeOracle& oracle) const;
 
   DiagnosisEngine* engine_;
   std::shared_ptr<const Calibration> cal_;

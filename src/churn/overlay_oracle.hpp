@@ -7,7 +7,9 @@
 // wrapper deliberately exposes no row_bits, forcing the per-pair consult
 // path, so masked tests are counted one by one — identically on the warm
 // incremental path and the cold reference path, which is what makes counted
-// look-ups comparable bit-for-bit between the two.
+// look-ups comparable bit-for-bit between the two. The endpoint form
+// applies the same masks, then hands the nodes the solver holds to the
+// inner oracle.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +27,20 @@ class OverlayOracle final : public SyndromeOracle {
  protected:
   [[nodiscard]] bool test_impl(Node u, unsigned i,
                                unsigned j) const override {
-    if (overlay_.node_removed(u)) return true;
-    const std::uint64_t dead = overlay_.dead_mask(u);
-    if ((dead >> i) & 1) return true;
-    if ((dead >> j) & 1) return true;
-    return inner_.test(u, i, j);
+    return masked(u, i, j) || inner_.test(u, i, j);
+  }
+  [[nodiscard]] bool endpoint_test_impl(Node u, unsigned i, unsigned j,
+                                        Node v, Node w) const override {
+    return masked(u, i, j) || inner_.test(u, i, j, v, w);
   }
 
  private:
+  [[nodiscard]] bool masked(Node u, unsigned i, unsigned j) const {
+    if (overlay_.node_removed(u)) return true;
+    const std::uint64_t dead = overlay_.dead_mask(u);
+    return ((dead >> i) & 1) || ((dead >> j) & 1);
+  }
+
   const TopologyOverlay& overlay_;
   const SyndromeOracle& inner_;
 };

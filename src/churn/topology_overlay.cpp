@@ -54,10 +54,9 @@ Node TopologyOverlay::neighbor_of(Node u, unsigned p) const {
   return csr_ ? csr_->neighbor(u, p) : implicit_->neighbor(u, p);
 }
 
-unsigned TopologyOverlay::mirror_of(Node u, unsigned p) const {
-  const int m = csr_ ? csr_->mirror_position(u, p)
-                     : implicit_->mirror_position(u, p);
-  return static_cast<unsigned>(m);
+unsigned TopologyOverlay::mirror_of(Node u, unsigned p, Node v) const {
+  return csr_ ? csr_->mirror_position(u, p, v)
+              : implicit_->mirror_position(u, p, v);
 }
 
 void TopologyOverlay::check_node(Node u, const char* what) const {
@@ -112,7 +111,7 @@ void TopologyOverlay::remove_node(Node u) {
   const unsigned deg = degree_of(u);
   for (unsigned p = 0; p < deg; ++p) {
     const Node w = neighbor_of(u, p);
-    dead_mask_[w] |= std::uint64_t{1} << mirror_of(u, p);
+    dead_mask_[w] |= std::uint64_t{1} << mirror_of(u, p, w);
   }
 }
 
@@ -131,7 +130,7 @@ void TopologyOverlay::repair_node(Node u) {
     // The edge to w comes back only if nothing else keeps it dead: w itself
     // removed, or the edge explicitly removed.
     if (!node_removed(w) && !edge_removed(u, w)) {
-      dead_mask_[w] &= ~(std::uint64_t{1} << mirror_of(u, p));
+      dead_mask_[w] &= ~(std::uint64_t{1} << mirror_of(u, p, w));
     }
     // u's own view of the edge: dead iff w is removed or the edge is.
     if (node_removed(w) || edge_removed(u, w)) {
@@ -148,7 +147,7 @@ void TopologyOverlay::remove_edge(Node u, Node v) {
     throw_churn("remove-edge", "edge (" + std::to_string(u) + ", " +
                                    std::to_string(v) + ") is already removed");
   }
-  const unsigned pv = mirror_of(u, pu);
+  const unsigned pv = mirror_of(u, pu, v);
   removed_edges_.insert(ordered(u, v));
   dead_mask_[u] |= std::uint64_t{1} << pu;
   dead_mask_[v] |= std::uint64_t{1} << pv;
@@ -162,7 +161,7 @@ void TopologyOverlay::repair_edge(Node u, Node v) {
                 "edge (" + std::to_string(u) + ", " + std::to_string(v) +
                     ") was not explicitly removed");
   }
-  const unsigned pv = mirror_of(u, pu);
+  const unsigned pv = mirror_of(u, pu, v);
   removed_edges_.erase(ordered(u, v));
   ever_churned_ = true;
   // The edge becomes usable from an endpoint only if the other endpoint is

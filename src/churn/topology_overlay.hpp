@@ -118,7 +118,8 @@ class TopologyOverlay {
   void check_node(Node u, const char* what) const;
   /// Position of v in u's base adjacency, throwing when not adjacent.
   [[nodiscard]] unsigned edge_position(Node u, Node v, const char* what) const;
-  [[nodiscard]] unsigned mirror_of(Node u, unsigned p) const;
+  /// Position of u in adj(v), where v is u's neighbour at position p.
+  [[nodiscard]] unsigned mirror_of(Node u, unsigned p, Node v) const;
   [[nodiscard]] unsigned degree_of(Node u) const;
   [[nodiscard]] Node neighbor_of(Node u, unsigned p) const;
 

@@ -61,12 +61,14 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
 
   // The same idiom picks the read path from the input: a materialised
   // table is read without virtual calls, and by whole packed rows where a
-  // row fits one word; every other oracle answers through test().
-  // Counting is identical either way.
+  // row fits one word; every other oracle answers through the endpoint
+  // test(), handed the compared nodes v = adj[i], w = adj[j] this driver
+  // already holds. Counting is identical either way.
   const auto* table = dynamic_cast<const TableOracle*>(&oracle);
   const bool word_rows = table != nullptr && g.max_degree() <= 64;
-  auto test = [&](Node u, unsigned i, unsigned j) {
-    return table != nullptr ? table->test(u, i, j) : oracle.test(u, i, j);
+  auto test = [&](Node u, unsigned i, unsigned j, Node v, Node w) {
+    return table != nullptr ? table->test(u, i, j)
+                            : oracle.test(u, i, j, v, w);
   };
   // Look-ups served from packed rows, flushed to the oracle's counter once
   // at the end — totals match the per-call path exactly.
@@ -101,11 +103,11 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
   std::size_t next_count = 0;
 
   // `pos` is v's position in adj(parent); its mirror, parent's position in
-  // adj(v), is computed here, once per admitted member.
+  // adj(v), is computed here from the admitted edge, once per member.
   auto add_member = [&](Node v, Node parent, unsigned pos) {
     result.members.push_back(v);
     result.parent.push_back(parent);
-    parent_pos_of_[v] = g.mirror_position(parent, pos);
+    parent_pos_of_[v] = g.mirror_position(parent, pos, v);
     frontier_words_[fi][v >> 6] |= std::uint64_t{1} << (v & 63);
     ++next_count;
   };
@@ -137,7 +139,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
           ++row_served;
           one = (row >> pb) & 1;
         } else {
-          one = test(u0, pa, pb);
+          one = test(u0, pa, pb, va, vb);
         }
         if (!one) {
           if (in_set_.insert(va)) add_member(va, u0, pa);
@@ -197,6 +199,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
         bits &= bits - 1;
         const unsigned parent_pos = parent_pos_of_[u];
         const auto adj = g.neighbors(u);
+        const Node parent = adj[parent_pos];
 
         // Consult each eligible non-member neighbour against the parent
         // pivot. A table serves the whole pivot row as one read when the
@@ -222,7 +225,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
             ++row_served;
             one = (row >> p) & 1;
           } else {
-            one = test(u, p, parent_pos);
+            one = test(u, p, parent_pos, v, parent);
           }
           if (!one) {
             if (!deferred) {

@@ -42,13 +42,16 @@
 //     scans only the word window its frontier spans, so a probe of a
 //     component that is a contiguous id range (the prefix plans) costs
 //     O(Δ·|U_r|), not O(N). The position of a member's tree parent in its
-//     own adjacency list is recorded at admission (one mirror_position
-//     call per member), so rounds >= 2 never re-search for the parent.
+//     own adjacency list is recorded at admission (one
+//     mirror_position(parent, pos, member) call per member, answered from
+//     the admitted edge), so rounds >= 2 never re-search for the parent.
 //   - A materialised table (TableOracle, recognised by one dynamic_cast per
 //     run) serves a whole (node, pivot) syndrome row as one packed 64-bit
 //     read; the consulted pairs are then register bit tests, charged in
 //     bulk so the counter matches the per-pair path. Every other oracle
-//     answers through the virtual test().
+//     answers through the virtual endpoint test(u, i, j, v, w), handed the
+//     two compared neighbours the driver already holds in adj, so a lazy
+//     oracle computes each outcome without re-deriving either node.
 //   - Membership bitsets pack one bit per node (DirtyBitset), keeping the
 //     hot loop's working set L1-resident; restricted probes resolve
 //     prefix-plan eligibility with an inline shift instead of a virtual

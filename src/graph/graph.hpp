@@ -53,12 +53,19 @@ class Graph {
 
   /// Position of u in the adjacency list of its p-th neighbour, O(1) from a
   /// table precomputed at construction (an O(E) counting pass). This is the
-  /// hot-path replacement for neighbor_position(v, u): Set_Builder carries
-  /// it in every frontier entry instead of re-searching per round. Only
+  /// hot-path replacement for neighbor_position(v, u): Set_Builder records
+  /// it once per admitted member instead of re-searching per round. Only
   /// meaningful on symmetric (undirected) adjacency, which every topology
   /// builder emits and build_graph_from_edges/generator enforce.
   [[nodiscard]] unsigned mirror_position(Node u, unsigned p) const noexcept {
     return mirror_pos_[offsets_[u] + p];
+  }
+
+  /// The GraphView form, for a caller holding v = neighbor(u, p): the
+  /// table answers from (u, p) alone.
+  [[nodiscard]] unsigned mirror_position(Node u, unsigned p,
+                                         Node /*v*/) const noexcept {
+    return mirror_position(u, p);
   }
 
   /// All mirror positions of u, aligned with neighbors(u).

@@ -1,14 +1,15 @@
 // ImplicitGraph: a GraphView that never materialises edges.
 //
 // Every adjacency query is answered by the topology's closed-form implicit
-// API (Topology::sorted_neighbors / neighbor / neighbor_position /
-// mirror_position), so the whole view is O(1) memory regardless of node
-// count — hypercube 20 (2^20 nodes, 2^20·20 directed edges) costs the same
-// few dozen bytes as hypercube 4. neighbors() returns a small by-value array
-// rather than a span into storage; the solver templates consume either shape
-// identically. Mirror positions are answered one at a time, so the solver
-// computes one only for the member it admits. No mutable scratch: the view
-// is safe to share across the engine's worker threads.
+// API (Topology::sorted_neighbors / neighbor / neighbor_position), so the
+// whole view is O(1) memory regardless of node count — hypercube 20 (2^20
+// nodes, 2^20·20 directed edges) costs the same few dozen bytes as
+// hypercube 4. neighbors() returns a small by-value array rather than a
+// span into storage; the solver templates consume either shape identically.
+// A mirror position is neighbor_position(v, u) on the neighbour v the
+// caller already holds, so the solver computes one only for the member it
+// admits and never re-derives that member. No mutable scratch: the view is
+// safe to share across the engine's worker threads.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +75,16 @@ class ImplicitGraph {
     return topo_->neighbor_position(u, v);
   }
 
-  [[nodiscard]] unsigned mirror_position(Node u, unsigned p) const {
-    return topo_->mirror_position(u, p);
+  /// u's position in adj(v). Precondition: v = neighbor(u, p). Throws
+  /// std::logic_error when v's adjacency lacks u: nothing validates a
+  /// topology's symmetry before this view drives a solver.
+  [[nodiscard]] unsigned mirror_position(Node u, unsigned /*p*/,
+                                         Node v) const {
+    const int pos = topo_->neighbor_position(v, u);
+    if (pos < 0) {
+      throw std::logic_error("ImplicitGraph: adjacency asymmetry");
+    }
+    return static_cast<unsigned>(pos);
   }
 
   [[nodiscard]] bool has_edge(Node u, Node v) const {

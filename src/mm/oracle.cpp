@@ -19,17 +19,16 @@ std::string shape(std::size_t nodes, unsigned min_degree,
 void require_oracle_shape(const char* who, const SyndromeOracle& oracle,
                           std::size_t nodes, unsigned min_degree,
                           unsigned max_degree) {
-  if (!oracle.has_graph()) return;
-  const Graph& g = oracle.graph();
-  if (g.num_nodes() == nodes && g.min_degree() == min_degree &&
-      g.max_degree() == max_degree) {
+  if (!oracle.has_shape()) return;
+  const OracleShape& s = oracle.shape();
+  if (s.nodes == nodes && s.min_degree == min_degree &&
+      s.max_degree == max_degree) {
     return;
   }
   throw std::invalid_argument(
       std::string(who) + ": the oracle addresses a graph of " +
-      shape(g.num_nodes(), g.min_degree(), g.max_degree()) +
-      ", but the solver's graph has " +
-      shape(nodes, min_degree, max_degree));
+      shape(s.nodes, s.min_degree, s.max_degree) +
+      ", but the solver's graph has " + shape(nodes, min_degree, max_degree));
 }
 
 }  // namespace mmdiag

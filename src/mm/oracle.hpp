@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/graph_view.hpp"
 #include "mm/behavior.hpp"
 #include "mm/fault_set.hpp"
 #include "mm/syndrome.hpp"
@@ -35,6 +36,13 @@ const Graph* erased_graph(const GV&) noexcept {
 }
 }  // namespace detail
 
+/// The node count and degree range of the view an oracle reads.
+struct OracleShape {
+  std::size_t nodes = 0;
+  unsigned min_degree = 0;
+  unsigned max_degree = 0;
+};
+
 class SyndromeOracle {
  public:
   virtual ~SyndromeOracle() = default;
@@ -43,6 +51,17 @@ class SyndromeOracle {
   [[nodiscard]] bool test(Node u, unsigned i, unsigned j) const {
     ++lookups_;
     return test_impl(u, i, j);
+  }
+
+  /// test(u, i, j) for a caller that already holds the compared nodes:
+  /// v and w must be u's neighbours at positions i and j in the adjacency
+  /// this oracle reads (v = N_u[i], w = N_u[j]). Same outcome, counted
+  /// exactly like test(u, i, j); an oracle that computes outcomes from
+  /// nodes skips re-deriving them.
+  [[nodiscard]] bool test(Node u, unsigned i, unsigned j, Node v,
+                          Node w) const {
+    ++lookups_;
+    return endpoint_test_impl(u, i, j, v, w);
   }
 
   [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
@@ -58,30 +77,49 @@ class SyndromeOracle {
   [[nodiscard]] bool has_graph() const noexcept { return graph_ != nullptr; }
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
 
+  /// False for an oracle built over no view, such as the graph-less
+  /// FaultFreeOracle: shape() is then meaningless.
+  [[nodiscard]] bool has_shape() const noexcept { return has_shape_; }
+  [[nodiscard]] const OracleShape& shape() const noexcept { return shape_; }
+
  protected:
   SyndromeOracle() = default;
-  explicit SyndromeOracle(const Graph& g) : graph_(&g) {}
-  explicit SyndromeOracle(const Graph* g) : graph_(g) {}
+  /// Records the view's shape; a CSR view also becomes graph().
+  template <GraphView GV>
+  explicit SyndromeOracle(const GV& view)
+      : graph_(detail::erased_graph(view)),
+        shape_{view.num_nodes(), view.min_degree(), view.max_degree()},
+        has_shape_(true) {}
   [[nodiscard]] virtual bool test_impl(Node u, unsigned i, unsigned j) const = 0;
+  /// The endpoint form's outcome; by default the position read.
+  [[nodiscard]] virtual bool endpoint_test_impl(Node u, unsigned i,
+                                                unsigned j, Node /*v*/,
+                                                Node /*w*/) const {
+    return test_impl(u, i, j);
+  }
 
  private:
   const Graph* graph_ = nullptr;
+  OracleShape shape_;
+  bool has_shape_ = false;
   mutable std::uint64_t lookups_ = 0;
 };
 
 /// Throws std::invalid_argument, naming both shapes, when `oracle` reads a
-/// graph whose node count, minimum degree or maximum degree differs from
+/// view whose node count, minimum degree or maximum degree differs from
 /// the solver's: a request paired with another graph's syndrome would
-/// otherwise index past that syndrome's rows. Against a regular solver
-/// graph (every calibration's is) a match means the oracle's graph is
-/// regular of the same degree, so its syndrome places every row where the
-/// solver reads it; against an irregular one the check is necessary, not
-/// sufficient. O(1); graph-less oracles pass. `who` prefixes the message.
+/// otherwise index past that syndrome's rows (or, for a lazy oracle, past
+/// its fault set). Against a regular solver graph (every calibration's is)
+/// a match means the oracle's view is regular of the same degree, so it
+/// places every row where the solver reads it; against an irregular one
+/// the check is necessary, not sufficient. O(1); shape-free oracles pass.
+/// `who` prefixes the message.
 void require_oracle_shape(const char* who, const SyndromeOracle& oracle,
                           std::size_t nodes, unsigned min_degree,
                           unsigned max_degree);
 
-/// Reads a pre-materialised syndrome table.
+/// Reads a pre-materialised syndrome table. The endpoint look-up keeps the
+/// position read: the nodes add nothing to a table's addressing.
 class TableOracle final : public SyndromeOracle {
  public:
   TableOracle(const Graph& g, const Syndrome& syndrome)
@@ -127,13 +165,15 @@ class TableOracle final : public SyndromeOracle {
 /// LazyOracleOn<ImplicitGraph> is the O(1)-memory oracle of the scale path
 /// (nodes named by position through the view's closed-form neighbor(u, p),
 /// so the outcomes — and thus every downstream result — match the CSR
-/// instantiation bit for bit).
+/// instantiation bit for bit). An outcome depends only on u and the two
+/// compared nodes, so the endpoint form computes it from the nodes the
+/// caller holds and never touches the view.
 template <class GV>
 class LazyOracleOn final : public SyndromeOracle {
  public:
   LazyOracleOn(const GV& g, const FaultSet& faults, FaultyBehavior behavior,
                std::uint64_t seed)
-      : SyndromeOracle(detail::erased_graph(g)),
+      : SyndromeOracle(g),
         view_(&g),
         faults_(&faults),
         behavior_(behavior),
@@ -143,8 +183,15 @@ class LazyOracleOn final : public SyndromeOracle {
 
  protected:
   [[nodiscard]] bool test_impl(Node u, unsigned i, unsigned j) const override {
-    const Node v = view_->neighbor(u, i);
-    const Node w = view_->neighbor(u, j);
+    return outcome(u, view_->neighbor(u, i), view_->neighbor(u, j));
+  }
+  [[nodiscard]] bool endpoint_test_impl(Node u, unsigned, unsigned, Node v,
+                                        Node w) const override {
+    return outcome(u, v, w);
+  }
+
+ private:
+  [[nodiscard]] bool outcome(Node u, Node v, Node w) const {
     if (!faults_->is_faulty(u)) {
       return faults_->is_faulty(v) || faults_->is_faulty(w);
     }
@@ -152,7 +199,6 @@ class LazyOracleOn final : public SyndromeOracle {
                               faults_->is_faulty(w));
   }
 
- private:
   const GV* view_;
   const FaultSet* faults_;
   FaultyBehavior behavior_;
@@ -173,6 +219,10 @@ class FaultFreeOracle final : public SyndromeOracle {
 
  protected:
   [[nodiscard]] bool test_impl(Node, unsigned, unsigned) const override {
+    return false;
+  }
+  [[nodiscard]] bool endpoint_test_impl(Node, unsigned, unsigned, Node,
+                                        Node) const override {
     return false;
   }
 };

@@ -33,9 +33,6 @@ class AugmentedKAryNCube final : public KAryNCube {
   [[nodiscard]] int neighbor_position(Node u, Node v) const override {
     return Topology::neighbor_position(u, v);
   }
-  [[nodiscard]] unsigned mirror_position(Node u, unsigned p) const override {
-    return Topology::mirror_position(u, p);
-  }
 };
 
 }  // namespace mmdiag

@@ -93,9 +93,4 @@ int Hypercube::neighbor_position(Node u, Node v) const {
   return position_of(n_, u, v);
 }
 
-unsigned Hypercube::mirror_position(Node u, unsigned p) const {
-  const Node v = neighbor_of(n_, u, p);
-  return static_cast<unsigned>(position_of(n_, v, u));
-}
-
 }  // namespace mmdiag

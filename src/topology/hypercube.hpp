@@ -23,7 +23,6 @@ class Hypercube final : public BitCubeTopology {
   unsigned sorted_neighbors(Node u, Node* out) const override;
   [[nodiscard]] Node neighbor(Node u, unsigned p) const override;
   [[nodiscard]] int neighbor_position(Node u, Node v) const override;
-  [[nodiscard]] unsigned mirror_position(Node u, unsigned p) const override;
 
   // Static forms of the same arithmetic, usable without an instance.
   static unsigned sorted_neighbors_of(unsigned n, Node u, Node* out);

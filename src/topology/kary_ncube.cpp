@@ -124,11 +124,6 @@ int KAryNCube::neighbor_position(Node u, Node v) const {
   return position_of(n_, k_, u, v);
 }
 
-unsigned KAryNCube::mirror_position(Node u, unsigned p) const {
-  const Node v = neighbor_of(n_, k_, u, p);
-  return static_cast<unsigned>(position_of(n_, k_, v, u));
-}
-
 std::string KAryNCube::node_label(Node u) const {
   std::uint8_t d[64];
   codec_.unrank(u, d);

@@ -37,7 +37,6 @@ class KAryNCube : public Topology {
   unsigned sorted_neighbors(Node u, Node* out) const override;
   [[nodiscard]] Node neighbor(Node u, unsigned p) const override;
   [[nodiscard]] int neighbor_position(Node u, Node v) const override;
-  [[nodiscard]] unsigned mirror_position(Node u, unsigned p) const override;
 
   // Static forms of the same arithmetic, usable without an instance.
   static unsigned sorted_neighbors_of(unsigned n, unsigned k, Node u,

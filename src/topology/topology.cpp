@@ -1,7 +1,6 @@
 #include "topology/topology.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "graph/builder.hpp"
 
@@ -58,15 +57,6 @@ int Topology::neighbor_position(Node u, Node v) const {
   const auto it = std::lower_bound(scratch.begin(), scratch.end(), v);
   if (it == scratch.end() || *it != v) return -1;
   return static_cast<int>(it - scratch.begin());
-}
-
-unsigned Topology::mirror_position(Node u, unsigned p) const {
-  const Node v = neighbor(u, p);
-  const int pos = neighbor_position(v, u);
-  if (pos < 0) {
-    throw std::logic_error("Topology::mirror_position: adjacency asymmetry");
-  }
-  return static_cast<unsigned>(pos);
 }
 
 unsigned diagnosability_by_chang(std::uint64_t num_nodes, unsigned degree,

@@ -82,6 +82,9 @@ class Topology {
   // virtual neighbors() (thread-local scratch, no per-call allocation in
   // steady state); families with closed forms override them (Hypercube in
   // O(1)/O(Δ) popcount arithmetic, KAryNCube in O(Δ) digit arithmetic).
+  // A mirror position (u's place in adj(v) for v = neighbor(u, p)) needs no
+  // query of its own: ImplicitGraph answers it as neighbor_position(v, u)
+  // from the v its caller already holds.
 
   /// Number of neighbours of u (= degree; all §5 families are regular).
   [[nodiscard]] virtual unsigned degree(Node u) const;
@@ -96,10 +99,6 @@ class Topology {
 
   /// Position of v in u's ascending adjacency, or -1 if u !~ v.
   [[nodiscard]] virtual int neighbor_position(Node u, Node v) const;
-
-  /// Position of u in the adjacency of its p-th neighbour — the closed-form
-  /// counterpart of Graph::mirror_position. Precondition: p < degree(u).
-  [[nodiscard]] virtual unsigned mirror_position(Node u, unsigned p) const;
 };
 
 /// Diagnosability via Chang–Lai–Tan–Hsu [6]: a t-regular, t-connected graph

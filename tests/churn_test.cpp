@@ -21,6 +21,7 @@
 #include "churn/topology_overlay.hpp"
 #include "core/diagnoser.hpp"
 #include "engine/engine.hpp"
+#include "graph/implicit_graph.hpp"
 #include "mm/fault_set.hpp"
 #include "mm/injector.hpp"
 #include "mm/oracle.hpp"
@@ -624,6 +625,53 @@ TEST(ChurnEngine, ChurnRacesInFlightBatchSolvesWithoutDisturbingThem) {
   EXPECT_TRUE(batch_errors.empty()) << batch_errors.front();
   // After the race the incremental state still equals cold.
   EXPECT_TRUE(churn.certification() == churn.recertify_cold());
+}
+
+TEST(ChurnEngine, EveryEntryRejectsAnOracleOverAnotherGraph) {
+  // Oracles over hypercube 8 sent to a ChurnEngine on hypercube 10, on a
+  // CSR and on an implicit calibration: each entry must throw before it
+  // solves or touches the solve cache, so a matched read that follows
+  // still reuses the cache and a matched diagnose still equals
+  // diagnose_cold.
+  const test::Instance q8("hypercube 8");
+  const ImplicitGraph q8_view(*q8.topo);
+  const FaultSet q8_faults(q8.graph.num_nodes(), {5});
+  const LazyOracle csr_stray(q8.graph, q8_faults, FaultyBehavior::kRandom, 1);
+  const ImplicitLazyOracle implicit_stray(q8_view, q8_faults,
+                                          FaultyBehavior::kRandom, 1);
+  const test::Instance q10("hypercube 10");
+  const FaultSet faults(q10.graph.num_nodes(), {3, 77});
+  const LazyOracle matched(q10.graph, faults, FaultyBehavior::kRandom, 2);
+
+  for (const GraphMode mode : {GraphMode::kCsr, GraphMode::kImplicit}) {
+    SCOPED_TRACE(mode == GraphMode::kCsr ? "csr" : "implicit");
+    EngineOptions engine_options;
+    engine_options.graph_mode = mode;
+    DiagnosisEngine engine(engine_options);
+    ChurnEngine churn(engine, "hypercube 10");
+    ASSERT_EQ(churn.calibration().is_implicit(), mode == GraphMode::kImplicit);
+    const ChurnDiagnosis first = churn.diagnose(matched);
+    ASSERT_TRUE(first.success) << first.failure_reason;
+
+    for (const SyndromeOracle* stray :
+         {static_cast<const SyndromeOracle*>(&csr_stray),
+          static_cast<const SyndromeOracle*>(&implicit_stray)}) {
+      EXPECT_THROW((void)churn.diagnose(*stray), std::invalid_argument);
+      EXPECT_THROW((void)churn.diagnose_delta(*stray, {}),
+                   std::invalid_argument);
+      EXPECT_THROW((void)churn.diagnose_cold(*stray), std::invalid_argument);
+      EXPECT_EQ(stray->lookups(), 0u);
+    }
+
+    const ChurnDiagnosis reused = churn.diagnose_delta(matched, {});
+    EXPECT_TRUE(reused.reused_cache);
+    EXPECT_TRUE(identical(reused, first));
+    const ChurnDiagnosis warm = churn.diagnose(matched);
+    const ChurnDiagnosis cold = churn.diagnose_cold(matched);
+    EXPECT_TRUE(identical(warm, cold));
+    EXPECT_EQ(warm.faults, (std::vector<Node>{3, 77}));
+    EXPECT_EQ(warm.spent_lookups, cold.spent_lookups);
+  }
 }
 
 TEST(ChurnEngine, RetireCalibrationEvictsExplicitlyAndKeepsServing) {

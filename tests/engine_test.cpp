@@ -583,6 +583,54 @@ TEST(DiagnosisEngine, ImplicitModeIsBitIdenticalAndMaterialisesNoEdges) {
   EXPECT_NO_THROW((void)csr_engine.make_batch_diagnoser(spec));
 }
 
+TEST(DiagnosisEngine, ImplicitOracleOverAnotherGraphThrowsBeforeAnyLookup) {
+  // A lazy oracle over an implicit hypercube 14 has no CSR graph, but it
+  // records its view's shape: sent as a larger hypercube, it must fail the
+  // O(1) shape check instead of letting the solver index its fault set and
+  // closed-form adjacency with ids past 2^14. kAuto serves both specs on
+  // the implicit view.
+  DiagnosisEngine engine;
+  const std::unique_ptr<Topology> q14 = make_topology_from_spec("hypercube 14");
+  const ImplicitGraph q14_view(*q14);
+  const FaultSet q14_faults(q14_view.num_nodes(), {3, 77});
+  const ImplicitLazyOracle stray(q14_view, q14_faults, FaultyBehavior::kRandom,
+                                 1);
+  const struct {
+    const char* spec;
+    const char* solver_shape;
+  } sends[] = {{"hypercube 17", "131072 nodes of degree 17"},
+               {"hypercube 20", "1048576 nodes of degree 20"}};
+  for (const auto& send : sends) {
+    SCOPED_TRACE(send.spec);
+    try {
+      (void)engine.diagnose(send.spec, stray);
+      ADD_FAILURE() << "a mismatched implicit oracle was diagnosed";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("a graph of 16384 nodes of degree 14"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("solver's graph has ") +
+                          send.solver_shape),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_EQ(stray.lookups(), 0u);
+  }
+
+  // A matched implicit oracle still equals the direct Diagnoser.
+  const std::unique_ptr<Topology> q17 = make_topology_from_spec("hypercube 17");
+  const ImplicitGraph q17_view(*q17);
+  Diagnoser direct(*q17, q17_view);
+  const FaultSet q17_faults(q17_view.num_nodes(), {3, 77});
+  const ImplicitLazyOracle matched(q17_view, q17_faults,
+                                   FaultyBehavior::kRandom, 1);
+  const DiagnosisResult routed = engine.diagnose("hypercube 17", matched);
+  EXPECT_TRUE(routed.success) << routed.failure_reason;
+  EXPECT_EQ(routed.faults, (std::vector<Node>{3, 77}));
+  expect_bit_identical(direct.diagnose(matched), routed, 0);
+}
+
 TEST(DiagnosisEngine, AutoModeKeepsSmallInstancesOnCsr) {
   // kAuto flips to implicit only at kImplicitAutoNodeThreshold (2^17)
   // nodes; everything in the test-sized range stays CSR so the batch and

@@ -1,6 +1,7 @@
 // ImplicitGraph equivalence suite: the closed-form adjacency view must
 // answer every GraphView query — degree, the sorted neighbour list,
-// neighbor(u, p), neighbor_position (including misses), mirror_position —
+// neighbor(u, p), neighbor_position (including misses), and
+// mirror_position(u, p, v) from the held neighbour v —
 // exactly like the materialised CSR graph, for every registry family.
 // The CSR invariant (neighbours sorted ascending) is what makes the two
 // views interchangeable bit for bit in the solver: position p means the
@@ -22,20 +23,8 @@
 namespace mmdiag {
 namespace {
 
-// Small instances of all 14 registry families; the closed-form families
-// (hypercube, kary_ncube) plus every generic-fallback family.
-const char* const kEveryFamilySpec[] = {
-    "hypercube 5",          "crossed_cube 5",
-    "twisted_cube 5",       "folded_hypercube 5",
-    "enhanced_hypercube 5 2", "augmented_cube 6",
-    "shuffle_cube 6",       "twisted_n_cube 5",
-    "kary_ncube 2 6",       "augmented_kary_ncube 3 4",
-    "star 4",               "nk_star 5 3",
-    "pancake 4",            "arrangement 5 3",
-};
-
 TEST(ImplicitGraph, MatchesCsrOnEveryFamily) {
-  for (const char* spec : kEveryFamilySpec) {
+  for (const char* spec : test::kEveryFamilySpec) {
     SCOPED_TRACE(spec);
     test::Instance inst(spec);
     const ImplicitGraph implicit(*inst.topo);
@@ -56,7 +45,9 @@ TEST(ImplicitGraph, MatchesCsrOnEveryFamily) {
         EXPECT_EQ(implicit.neighbor_position(u, expected[p]),
                   csr.neighbor_position(u, expected[p]))
             << "u=" << u << " p=" << p;
-        EXPECT_EQ(implicit.mirror_position(u, p), csr.mirror_position(u, p))
+        // The mirror comes from the held neighbour: u's place in adj(v).
+        EXPECT_EQ(implicit.mirror_position(u, p, expected[p]),
+                  csr.mirror_position(u, p))
             << "u=" << u << " p=" << p;
       }
       // Non-neighbours (u itself is never adjacent to itself in these
@@ -134,9 +125,43 @@ TEST(ImplicitGraph, GenericFallbacksMatchCsrOnAnUnregisteredFamily) {
     ASSERT_EQ(adj.size(), expected.size());
     for (unsigned p = 0; p < expected.size(); ++p) {
       EXPECT_EQ(adj[p], expected[p]);
-      EXPECT_EQ(implicit.mirror_position(u, p), csr.mirror_position(u, p));
+      EXPECT_EQ(implicit.mirror_position(u, p, expected[p]),
+                csr.mirror_position(u, p));
     }
   }
+}
+
+// A directed 3-cycle: 0 -> 1 -> 2 -> 0, so no node is in its neighbour's
+// adjacency. The implicit view builds no CSR, hence no symmetry check; its
+// mirror query must refuse the edge rather than return a position of -1.
+class DirectedCycleTopology final : public Topology {
+ public:
+  [[nodiscard]] TopologyInfo info() const override {
+    TopologyInfo t;
+    t.name = "C3";
+    t.family = "directed_cycle";
+    t.num_nodes = 3;
+    t.degree = 1;
+    return t;
+  }
+  void neighbors(Node u, std::vector<Node>& out) const override {
+    out.assign(1, (u + 1) % 3);
+  }
+  [[nodiscard]] std::string node_label(Node u) const override {
+    return std::to_string(u);
+  }
+  [[nodiscard]] std::vector<std::shared_ptr<const PartitionPlan>>
+  partition_plans() const override {
+    return {};
+  }
+  [[nodiscard]] std::vector<unsigned> params() const override { return {}; }
+};
+
+TEST(ImplicitGraph, MirrorQueryRejectsAnAsymmetricTopology) {
+  const DirectedCycleTopology topo;
+  const ImplicitGraph implicit(topo);
+  ASSERT_EQ(implicit.neighbor(0, 0), 1u);
+  EXPECT_THROW((void)implicit.mirror_position(0, 0, 1), std::logic_error);
 }
 
 // Direct closed-form spot checks, independent of the CSR cross-check above:

@@ -7,7 +7,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "churn/overlay_oracle.hpp"
+#include "churn/topology_overlay.hpp"
 #include "graph/builder.hpp"
+#include "graph/implicit_graph.hpp"
+#include "mm/injector.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -197,6 +201,75 @@ TEST(Oracles, FaultFreeOracleAlwaysZero) {
   EXPECT_FALSE(oracle.test(0, 0, 1));
   EXPECT_FALSE(oracle.test(5, 1, 2));
   EXPECT_EQ(oracle.lookups(), 2u);
+}
+
+// The endpoint look-up's contract on every registry family's small
+// instance: for every u and i != j, test(u, i, j, N_u[i], N_u[j]) answers
+// like test(u, i, j), and each call charges exactly one look-up. Covered:
+// the lazy oracle on both views, a table, the fault-free oracle, and a
+// churn overlay over a lazy oracle with one removed node and one dead edge,
+// whose masks must apply on the endpoint path too.
+TEST(Oracles, EndpointLookupMatchesThePositionLookupOnEveryFamily) {
+  for (const char* spec : test::kEveryFamilySpec) {
+    SCOPED_TRACE(spec);
+    const test::Instance inst(spec);
+    const Graph& g = inst.graph;
+    const ImplicitGraph view(*inst.topo);
+    const std::size_t n = g.num_nodes();
+    Rng rng(17);
+    const FaultSet faults(n, inject_uniform(n, 2, rng));
+    const auto behavior = FaultyBehavior::kRandom;
+    const Syndrome s = generate_syndrome(g, faults, behavior, 5);
+    const TableOracle table(g, s);
+    const LazyOracle lazy(g, faults, behavior, 5);
+    const ImplicitLazyOracle implicit_lazy(view, faults, behavior, 5);
+    const FaultFreeOracle fault_free;
+
+    // The removed node and the dead edge sit on healthy nodes, so their
+    // masks turn some of the inner oracle's 0-tests into 1s.
+    Node removed = 0;
+    while (faults.is_faulty(removed)) ++removed;
+    Node a = removed + 1;
+    while (faults.is_faulty(a) || faults.is_faulty(g.neighbor(a, 0))) ++a;
+    TopologyOverlay overlay(g);
+    overlay.remove_node(removed);
+    overlay.remove_edge(a, g.neighbor(a, 0));
+    const LazyOracle inner(g, faults, behavior, 5);
+    const OverlayOracle masked(overlay, inner);
+
+    const std::pair<const char*, const SyndromeOracle*> oracles[] = {
+        {"lazy", &lazy},
+        {"implicit lazy", &implicit_lazy},
+        {"table", &table},
+        {"fault-free", &fault_free},
+        {"overlay", &masked},
+    };
+    for (const auto& [name, oracle] : oracles) {
+      SCOPED_TRACE(name);
+      std::size_t masked_ones = 0;
+      for (Node u = 0; u < n; ++u) {
+        const auto adj = g.neighbors(u);
+        for (unsigned i = 0; i < adj.size(); ++i) {
+          for (unsigned j = 0; j < adj.size(); ++j) {
+            if (i == j) continue;
+            const std::uint64_t before = oracle->lookups();
+            const bool by_position = oracle->test(u, i, j);
+            ASSERT_EQ(oracle->lookups(), before + 1);
+            const bool by_endpoint = oracle->test(u, i, j, adj[i], adj[j]);
+            ASSERT_EQ(oracle->lookups(), before + 2);
+            ASSERT_EQ(by_endpoint, by_position)
+                << "u=" << u << " i=" << i << " j=" << j;
+            if (oracle == &masked && by_endpoint && !inner.test(u, i, j)) {
+              ++masked_ones;
+            }
+          }
+        }
+      }
+      if (oracle == &masked) {
+        EXPECT_GT(masked_ones, 0u);
+      }
+    }
+  }
 }
 
 // The cohort view's preconditions hold in every build type, not only where

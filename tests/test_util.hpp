@@ -16,6 +16,18 @@
 
 namespace mmdiag::test {
 
+/// Small instances of all 14 registry families; the closed-form families
+/// (hypercube, kary_ncube) plus every generic-fallback family.
+inline constexpr const char* kEveryFamilySpec[] = {
+    "hypercube 5",          "crossed_cube 5",
+    "twisted_cube 5",       "folded_hypercube 5",
+    "enhanced_hypercube 5 2", "augmented_cube 6",
+    "shuffle_cube 6",       "twisted_n_cube 5",
+    "kary_ncube 2 6",       "augmented_kary_ncube 3 4",
+    "star 4",               "nk_star 5 3",
+    "pancake 4",            "arrangement 5 3",
+};
+
 /// A topology instance together with its materialised graph.
 struct Instance {
   std::unique_ptr<Topology> topo;
