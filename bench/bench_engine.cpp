@@ -50,7 +50,7 @@ struct Stream {
 
 /// Deterministic mixed workload over the stream's spec rotation: fault
 /// counts cycle 0..delta per spec and the faulty-tester behaviour
-/// alternates, mirroring bench_batch's per-topology workload.
+/// alternates.
 Stream make_stream(const StreamConfig& config) {
   constexpr FaultyBehavior kBehaviors[] = {
       FaultyBehavior::kRandom, FaultyBehavior::kAllZero,

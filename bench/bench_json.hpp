@@ -4,8 +4,8 @@
 // writer cannot emit structurally invalid output.
 //
 // Split out of bench_util.hpp so benches that do not use google-benchmark
-// (bench_batch-style sweep drivers, bench_scale) can report without
-// pulling in the benchmark library.
+// (bench_scale, bench_models, bench_churn) can report without pulling in
+// the benchmark library.
 #pragma once
 
 #include <cmath>

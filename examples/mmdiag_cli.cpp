@@ -9,21 +9,17 @@
 //       all-one | anti.
 //
 //   mmdiag_cli diagnose <file> [--verify] [--model m] [--local NODE]
-//              [--graph-mode csr|auto]
 //       Load a syndrome file (its model header picks the solver), run the
 //       diagnosis through the DiagnosisEngine, print the fault ids and the
 //       setup/solve split (and check full-syndrome consistency with
 //       --verify, MM* only). --model asserts the file's model. --local
 //       answers one node's status via the BGM neighbourhood-read fast
-//       path instead of a global solve. Syndrome files address rows
-//       through CSR adjacency, so --graph-mode implicit is a usage error.
+//       path instead of a global solve.
 //
-//   mmdiag_cli diagnose --batch <dir> [--threads N] [--graph-mode csr|auto]
-//       Load every syndrome file in <dir> (anything not ending in .truth),
-//       group the files by canonical topology spec, and diagnose each group
-//       in parallel with an engine-backed BatchDiagnoser — the certified
-//       partition is built once per topology and shared by all N worker
-//       threads.
+//   mmdiag_cli diagnose --batch <dir> [--threads N]
+//       Serve every syndrome file in <dir> (anything not hidden and not
+//       ending in .truth) exactly as `serve --requests` serves a list, over
+//       N lanes with room in the cache for every file's calibration.
 //
 //       Both forms reject an unknown option, a flag missing its value, a
 //       second syndrome file, and an option the chosen form does not take
@@ -34,9 +30,12 @@
 //       Mixed-spec request-stream mode: <file> lists one syndrome-file
 //       path per line ('#' comments allowed; relative paths resolve
 //       against the list's directory). Every request flows through one
-//       DiagnosisEngine whose LRU calibration cache owns the per-topology
-//       setup, so repeated specs pay it once; per-request cold/warm setup
-//       cost and cache counters are reported.
+//       DiagnosisEngine::serve call, whose LRU calibration cache owns the
+//       per-topology setup, so repeated specs pay it once, and whose
+//       bitsliced cohorts take every run of 64 or more files of one
+//       topology; per-request cold/warm setup cost and cache counters are
+//       reported. Syndrome files address rows through CSR adjacency, so
+//       both file modes calibrate the CSR view.
 //
 //   mmdiag_cli info <spec...> [--rule R] [--memory]
 //       Print the topology's constants, the diagnosis models it can be
@@ -66,20 +65,18 @@
 //       write it to FILE (stdout when omitted).
 //
 // Exit status: 0 on success, 1 on diagnosis failure / fuzz divergence,
-// 2 on usage errors.
+// 2 on usage or I/O errors.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "churn/churn_stream.hpp"
 #include "churn/harness.hpp"
-#include "core/batch_diagnoser.hpp"
 #include "core/certified_partition.hpp"
 #include "core/diagnoser.hpp"
 #include "core/verifier.hpp"
@@ -105,12 +102,10 @@ int usage() {
                "[--model mm-star|pmc|bgm] "
                "[--behavior random|all-zero|all-one|anti] -o FILE\n"
             << "  mmdiag_cli diagnose FILE [--verify] "
-               "[--model mm-star|pmc|bgm] [--local NODE] "
-               "[--graph-mode csr|auto]\n"
-            << "  mmdiag_cli diagnose --batch DIR [--threads N] "
-               "[--graph-mode csr|auto]\n"
+               "[--model mm-star|pmc|bgm] [--local NODE]\n"
+            << "  mmdiag_cli diagnose --batch DIR [--threads N]\n"
             << "  mmdiag_cli serve --requests FILE [--threads N] "
-               "[--cache-capacity C] [--graph-mode csr|auto]\n"
+               "[--cache-capacity C]\n"
             << "  mmdiag_cli info <spec...> "
                "[--rule least-first|spread|least-sync|hash-spread] "
                "[--memory]\n"
@@ -146,29 +141,6 @@ bool parse_flag_value(const std::string& flag, const std::string& token,
 
 /// Threads beyond this are a typo, not a machine.
 constexpr std::uint64_t kMaxThreads = 4096;
-
-/// Shared handling of --graph-mode in the syndrome-file modes (diagnose,
-/// serve). File rows address the materialised CSR adjacency, so the
-/// implicit view can never host them — rejecting the combination here
-/// turns what would otherwise surface as a deep engine error into a plain
-/// usage diagnostic. auto resolves to csr (the only view files can use).
-bool parse_file_graph_mode(const std::string& token, GraphMode& out) {
-  GraphMode mode;
-  try {
-    mode = graph_mode_from_string(token);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return false;
-  }
-  if (mode == GraphMode::kImplicit) {
-    std::cerr << "--graph-mode implicit cannot serve syndrome files: file "
-                 "rows address the materialised CSR adjacency (use csr or "
-                 "auto)\n";
-    return false;
-  }
-  out = GraphMode::kCsr;
-  return true;
-}
 
 int cmd_generate(const std::vector<std::string>& args) {
   std::string spec, out_path;
@@ -236,46 +208,123 @@ int cmd_generate(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// A resolver over the engine's calibration cache that also pins every
-/// resolved bundle: oracles built over these graphs must outlive the LRU's
-/// eviction decisions, and the pin map guarantees they do.
-class PinnedResolver {
- public:
-  explicit PinnedResolver(DiagnosisEngine& engine) : engine_(&engine) {}
+/// Parses an MM* syndrome file against `engine`'s cached graph for its
+/// spec. `cal` receives that calibration: the syndrome's rows address its
+/// graph, so the caller holds `cal` for as long as it reads them.
+ParsedSyndrome read_against_engine(std::istream& in, DiagnosisEngine& engine,
+                                   std::shared_ptr<const Calibration>& cal) {
+  return read_syndrome(in, [&](const std::string& spec) -> const Graph& {
+    cal = engine.calibration(spec);
+    return cal->graph;
+  });
+}
 
-  const Graph& operator()(const std::string& spec) {
-    std::shared_ptr<const Calibration> cal = engine_->calibration(spec);
-    const Graph& graph = cal->graph;
-    canonical_[spec] = cal->spec;
-    // keep_alive_ retains *every* resolved bundle, not just the latest per
-    // spec: if the LRU evicts and rebuilds a spec mid-ingest, oracles built
-    // over the older bundle's graph must stay valid for the whole run.
-    keep_alive_.push_back(cal);
-    pinned_[cal->spec] = std::move(cal);
-    return graph;
+/// What `serve --requests` and `diagnose --batch` share once they have
+/// listed their syndrome files: parse each against the engine's cached
+/// graphs, serve the lot in one DiagnosisEngine::serve call over `threads`
+/// lanes, and print one line per request and the summary. Returns 0, 1
+/// when any request failed, or 2 when a file cannot be read or parsed.
+int serve_files(const std::vector<std::filesystem::path>& files,
+                unsigned threads, std::size_t cache_capacity) {
+  namespace fs = std::filesystem;
+  EngineOptions engine_options;
+  engine_options.threads = threads;
+  engine_options.cache_capacity = cache_capacity;
+  // Syndrome files address rows through the materialised CSR adjacency.
+  engine_options.graph_mode = GraphMode::kCsr;
+  DiagnosisEngine engine(engine_options);
+
+  // Load the stream up front. Parsing resolves each spec through the
+  // engine, so first-touch calibration cost lands here — reported as the
+  // ingest line below; the per-request cold/warm rows then describe the
+  // serve phase itself (a "cold" request there means the LRU had to
+  // rebuild an evicted calibration mid-stream). Each request carries the
+  // canonical spec, so files that spell one topology differently still
+  // share a cohort run.
+  Timer ingest_timer;
+  // Every calibration an oracle reads stays pinned here, even if the LRU
+  // evicts it mid-stream.
+  std::vector<std::shared_ptr<const Calibration>> pinned;
+  pinned.reserve(files.size());
+  std::vector<Syndrome> syndromes;
+  syndromes.reserve(files.size());
+  std::vector<TableOracle> oracles;
+  oracles.reserve(files.size());
+  std::vector<EngineRequest> requests;
+  requests.reserve(files.size());
+  for (const fs::path& file : files) {
+    std::ifstream in(file);
+    if (!in) {
+      std::cerr << "cannot read " << file.string() << "\n";
+      return 2;
+    }
+    std::shared_ptr<const Calibration> cal;
+    try {
+      syndromes.push_back(read_against_engine(in, engine, cal).syndrome);
+    } catch (const std::exception& e) {
+      std::cerr << file.string() << ": " << e.what() << "\n";
+      return 2;
+    }
+    oracles.emplace_back(cal->graph, syndromes.back());
+    requests.push_back(EngineRequest{cal->spec, &oracles.back()});
+    pinned.push_back(std::move(cal));
+  }
+  const EngineCounters ingested = engine.counters();
+  std::cout << "ingest: " << files.size() << " request(s), "
+            << ingested.misses << " calibration(s) built in "
+            << ingest_timer.millis() << " ms\n";
+
+  Timer timer;
+  const std::vector<DiagnosisResult> results = engine.serve(requests);
+  const double serve_seconds = timer.seconds();
+
+  int exit_code = 0;
+  std::size_t ok = 0;
+  double cold_setup = 0, warm_setup = 0, solve_seconds = 0;
+  std::size_t cold = 0, warm = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const DiagnosisResult& r = results[i];
+    std::cout << files[i].filename().string() << " [" << requests[i].spec
+              << "] " << (r.calibration_reused ? "warm" : "cold")
+              << " setup " << r.setup_seconds * 1e3 << " ms, solve "
+              << r.diagnose_seconds * 1e3 << " ms: ";
+    if (!r.success) {
+      // Failed requests (engine setup errors have setup_seconds = 0) are
+      // excluded from the tallies so they cannot skew the cold/warm
+      // amortisation averages.
+      std::cout << "FAILED (" << r.failure_reason << ")\n";
+      exit_code = 1;
+      continue;
+    }
+    (r.calibration_reused ? warm_setup : cold_setup) += r.setup_seconds;
+    ++(r.calibration_reused ? warm : cold);
+    solve_seconds += r.diagnose_seconds;
+    ++ok;
+    std::cout << r.faults.size() << " fault(s)";
+    for (const Node v : r.faults) std::cout << ' ' << v;
+    std::cout << "\n";
   }
 
-  /// Canonical spec of a raw spec (a map lookup once resolved).
-  [[nodiscard]] std::string canonical(const std::string& spec) const {
-    const auto it = canonical_.find(spec);
-    return it != canonical_.end() ? it->second : canonical_topology_spec(spec);
+  const EngineCounters counters = engine.counters();
+  std::cout << "serve total: " << ok << "/" << results.size()
+            << " diagnosed in " << serve_seconds * 1e3 << " ms over "
+            << engine.threads() << " thread(s)\n"
+            << "  cache: " << counters.hits << " hit(s), " << counters.misses
+            << " miss(es), " << counters.evictions << " eviction(s), "
+            << counters.entries << "/" << engine.capacity() << " resident\n"
+            << "  setup: " << cold << " cold request(s) totalling "
+            << cold_setup * 1e3 << " ms, " << warm
+            << " warm totalling " << warm_setup * 1e3 << " ms; solve total "
+            << solve_seconds * 1e3 << " ms\n";
+  if (cold > 0 && warm > 0 && warm_setup > 0) {
+    const double amortization =
+        (cold_setup / static_cast<double>(cold)) /
+        (warm_setup / static_cast<double>(warm));
+    std::cout << "  warm-cache per-request setup is " << amortization
+              << "x cheaper than cold\n";
   }
-
-  /// The pinned bundle for a canonical spec; null if never resolved. Lets
-  /// callers reuse a calibration the LRU may since have evicted without
-  /// rebuilding it.
-  [[nodiscard]] std::shared_ptr<const Calibration> pinned(
-      const std::string& canonical_spec) const {
-    const auto it = pinned_.find(canonical_spec);
-    return it != pinned_.end() ? it->second : nullptr;
-  }
-
- private:
-  DiagnosisEngine* engine_;
-  std::map<std::string, std::string> canonical_;  // raw -> canonical
-  std::map<std::string, std::shared_ptr<const Calibration>> pinned_;
-  std::vector<std::shared_ptr<const Calibration>> keep_alive_;
-};
+  return exit_code;
+}
 
 int cmd_diagnose_batch(const std::string& dir, unsigned threads) {
   namespace fs = std::filesystem;
@@ -297,86 +346,9 @@ int cmd_diagnose_batch(const std::string& dir, unsigned threads) {
     std::cerr << "no syndrome files in " << dir << "\n";
     return 2;
   }
-
-  // The engine owns the per-topology setup; syndromes are parsed directly
-  // against its cached graphs (no per-file topology+graph build), grouped
-  // by canonical spec, and each group fans out over one BatchDiagnoser.
-  EngineOptions engine_options;
-  engine_options.threads = 1;  // BatchDiagnoser brings its own pool
-  // Syndrome files address rows through the materialised CSR layout.
-  engine_options.graph_mode = GraphMode::kCsr;
-  DiagnosisEngine engine(engine_options);
-  PinnedResolver resolve(engine);
-
-  std::map<std::string, std::vector<std::size_t>> by_spec;
-  std::vector<ParsedSyndrome> loaded;
-  loaded.reserve(files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    std::ifstream in(files[i]);
-    if (!in) {
-      std::cerr << "cannot read " << files[i].string() << "\n";
-      return 2;
-    }
-    try {
-      loaded.push_back(read_syndrome(in, std::ref(resolve)));
-      by_spec[resolve.canonical(loaded.back().spec)].push_back(i);
-    } catch (const std::exception& e) {
-      std::cerr << files[i].string() << ": " << e.what() << "\n";
-      return 2;
-    }
-  }
-
-  int exit_code = 0;
-  std::size_t total_ok = 0;
-  Timer timer;
-  for (const auto& [spec, indices] : by_spec) {
-    // Reuse the ingest-pinned bundle directly: with more distinct specs
-    // than cache capacity, asking the engine again would rebuild evicted
-    // calibrations for no reason.
-    const std::shared_ptr<const Calibration> cal = resolve.pinned(spec);
-    if (!cal) {
-      std::cerr << "internal error: no calibration pinned for " << spec
-                << "\n";
-      return 2;
-    }
-    BatchOptions batch_options;
-    batch_options.threads = threads;
-    const auto batch_engine = std::make_unique<BatchDiagnoser>(
-        graph_handle(cal), cal->partition, batch_options);
-
-    std::vector<TableOracle> oracles;
-    oracles.reserve(indices.size());
-    for (const std::size_t i : indices) {
-      oracles.emplace_back(cal->graph, loaded[i].syndrome);
-    }
-    std::vector<const SyndromeOracle*> ptrs;
-    ptrs.reserve(oracles.size());
-    for (const TableOracle& o : oracles) ptrs.push_back(&o);
-
-    const BatchResult batch = batch_engine->diagnose_all(ptrs);
-    std::cout << spec << ": " << indices.size() << " syndrome(s), "
-              << batch_engine->threads() << " thread(s), " << batch.succeeded
-              << " diagnosed in " << batch.seconds * 1e3 << " ms\n";
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const DiagnosisResult& r = batch.results[k];
-      std::cout << "  " << files[indices[k]].filename().string() << ": ";
-      if (!r.success) {
-        std::cout << "FAILED (" << r.failure_reason << ")\n";
-        exit_code = 1;
-        continue;
-      }
-      ++total_ok;
-      std::cout << r.faults.size() << " fault(s)";
-      for (const Node v : r.faults) std::cout << ' ' << v;
-      std::cout << "\n";
-    }
-  }
-  const EngineCounters counters = engine.counters();
-  std::cout << "batch total: " << total_ok << "/" << files.size()
-            << " diagnosed in " << timer.millis() << " ms ("
-            << counters.misses << " calibration(s) built, " << counters.hits
-            << " cache hit(s))\n";
-  return exit_code;
+  // One cache entry per file at most, so no calibration is evicted and
+  // rebuilt mid-batch.
+  return serve_files(files, threads, files.size());
 }
 
 /// Directed (PMC/BGM) single-file diagnose: global solve through
@@ -441,7 +413,6 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   bool verify = false;
   unsigned threads = 0;
   bool have_threads = false;
-  GraphMode graph_mode = GraphMode::kCsr;
   DiagnosisModel expected_model = DiagnosisModel::kMMStar;
   bool have_expected_model = false;
   Node local_node = kNoNode;
@@ -449,8 +420,7 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     const bool takes_value = arg == "--batch" || arg == "--threads" ||
-                             arg == "--graph-mode" || arg == "--model" ||
-                             arg == "--local";
+                             arg == "--model" || arg == "--local";
     if (takes_value && i + 1 == args.size()) {
       std::cerr << "diagnose argument '" << arg << "' needs a value\n";
       return usage();
@@ -464,8 +434,6 @@ int cmd_diagnose(const std::vector<std::string>& args) {
         return usage();
       }
       have_threads = true;
-    } else if (arg == "--graph-mode") {
-      if (!parse_file_graph_mode(args[++i], graph_mode)) return 2;
     } else if (arg == "--model") {
       expected_model = diagnosis_model_from_string(args[++i]);
       have_expected_model = true;
@@ -489,8 +457,8 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   }
   if (!batch_dir.empty()) {
     if (!path.empty() || verify || have_expected_model || have_local) {
-      std::cerr << "diagnose --batch takes only --threads and --graph-mode, "
-                   "no syndrome file, --verify, --model or --local\n";
+      std::cerr << "diagnose --batch takes only --threads, no syndrome "
+                   "file, --verify, --model or --local\n";
       return usage();
     }
     return cmd_diagnose_batch(batch_dir, threads);
@@ -538,13 +506,12 @@ int cmd_diagnose(const std::vector<std::string>& args) {
 
   EngineOptions engine_options;
   engine_options.threads = 1;
-  engine_options.graph_mode = graph_mode;
+  // Syndrome files address rows through the materialised CSR adjacency.
+  engine_options.graph_mode = GraphMode::kCsr;
   DiagnosisEngine engine(engine_options);
-  PinnedResolver resolve(engine);
+  std::shared_ptr<const Calibration> cal;
   std::istringstream body(buffer.str());
-  const ParsedSyndrome loaded = read_syndrome(body, std::ref(resolve));
-  const std::shared_ptr<const Calibration> cal =
-      engine.calibration(loaded.spec);
+  const ParsedSyndrome loaded = read_against_engine(body, engine, cal);
   std::cout << "loaded " << cal->spec << ": " << cal->graph.num_nodes()
             << " nodes, " << loaded.syndrome.total_tests() << " tests\n";
 
@@ -577,12 +544,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   std::string requests_path;
   unsigned threads = 0;
   std::size_t cache_capacity = 8;
-  GraphMode graph_mode = GraphMode::kCsr;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--requests" && i + 1 < args.size()) {
       requests_path = args[++i];
-    } else if (args[i] == "--graph-mode" && i + 1 < args.size()) {
-      if (!parse_file_graph_mode(args[++i], graph_mode)) return 2;
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
       if (!parse_flag_value("--threads", args[++i], kMaxThreads, threads)) {
         return usage();
@@ -618,105 +582,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     return 2;
   }
 
-  EngineOptions engine_options;
-  engine_options.threads = threads;
-  engine_options.cache_capacity = cache_capacity;
-  engine_options.graph_mode = graph_mode;
-  DiagnosisEngine engine(engine_options);
-  PinnedResolver resolve(engine);
-
-  // Load the stream up front. Parsing resolves each spec through the
-  // engine, so first-touch calibration cost lands here — reported as the
-  // ingest line below; the per-request cold/warm rows then describe the
-  // serve phase itself (a "cold" request there means the LRU had to
-  // rebuild an evicted calibration mid-stream).
-  Timer ingest_timer;
-  std::vector<ParsedSyndrome> loaded;
-  loaded.reserve(files.size());
-  std::vector<TableOracle> oracles;
-  oracles.reserve(files.size());
-  std::vector<EngineRequest> requests;
-  requests.reserve(files.size());
-  for (const fs::path& file : files) {
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << "cannot read " << file.string() << "\n";
-      return 2;
-    }
-    try {
-      loaded.push_back(read_syndrome(in, std::ref(resolve)));
-    } catch (const std::exception& e) {
-      std::cerr << file.string() << ": " << e.what() << "\n";
-      return 2;
-    }
-    const std::string spec = loaded.back().spec;
-    // The bundle is already pinned from the parse above; touching the
-    // engine again here would only inflate the cache counters the summary
-    // reports.
-    const auto cal = resolve.pinned(resolve.canonical(spec));
-    if (!cal) {
-      std::cerr << "internal error: no calibration pinned for " << spec
-                << "\n";
-      return 2;
-    }
-    oracles.emplace_back(cal->graph, loaded.back().syndrome);
-    requests.push_back(EngineRequest{spec, &oracles.back()});
-  }
-  const EngineCounters ingested = engine.counters();
-  std::cout << "ingest: " << files.size() << " request(s), "
-            << ingested.misses << " calibration(s) built in "
-            << ingest_timer.millis() << " ms\n";
-
-  Timer timer;
-  const std::vector<DiagnosisResult> results = engine.serve(requests);
-  const double serve_seconds = timer.seconds();
-
-  int exit_code = 0;
-  std::size_t ok = 0;
-  double cold_setup = 0, warm_setup = 0, solve_seconds = 0;
-  std::size_t cold = 0, warm = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const DiagnosisResult& r = results[i];
-    std::cout << files[i].filename().string() << " [" << requests[i].spec
-              << "] " << (r.calibration_reused ? "warm" : "cold")
-              << " setup " << r.setup_seconds * 1e3 << " ms, solve "
-              << r.diagnose_seconds * 1e3 << " ms: ";
-    if (!r.success) {
-      // Failed requests (engine setup errors have setup_seconds = 0) are
-      // excluded from the tallies so they cannot skew the cold/warm
-      // amortisation averages.
-      std::cout << "FAILED (" << r.failure_reason << ")\n";
-      exit_code = 1;
-      continue;
-    }
-    (r.calibration_reused ? warm_setup : cold_setup) += r.setup_seconds;
-    ++(r.calibration_reused ? warm : cold);
-    solve_seconds += r.diagnose_seconds;
-    ++ok;
-    std::cout << r.faults.size() << " fault(s)";
-    for (const Node v : r.faults) std::cout << ' ' << v;
-    std::cout << "\n";
-  }
-
-  const EngineCounters counters = engine.counters();
-  std::cout << "serve total: " << ok << "/" << results.size()
-            << " diagnosed in " << serve_seconds * 1e3 << " ms over "
-            << engine.threads() << " thread(s)\n"
-            << "  cache: " << counters.hits << " hit(s), " << counters.misses
-            << " miss(es), " << counters.evictions << " eviction(s), "
-            << counters.entries << "/" << engine.capacity() << " resident\n"
-            << "  setup: " << cold << " cold request(s) totalling "
-            << cold_setup * 1e3 << " ms, " << warm
-            << " warm totalling " << warm_setup * 1e3 << " ms; solve total "
-            << solve_seconds * 1e3 << " ms\n";
-  if (cold > 0 && warm > 0 && warm_setup > 0) {
-    const double amortization =
-        (cold_setup / static_cast<double>(cold)) /
-        (warm_setup / static_cast<double>(warm));
-    std::cout << "  warm-cache per-request setup is " << amortization
-              << "x cheaper than cold\n";
-  }
-  return exit_code;
+  return serve_files(files, threads, cache_capacity);
 }
 
 int cmd_info(const std::vector<std::string>& args) {

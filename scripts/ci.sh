@@ -4,12 +4,12 @@
 # with every build and ctest step bounded at -j "$(nproc)": a bare -j lets
 # make start every ready compile at once. After it come a perfbench
 # answer-check smoke (one 2-second traced run per workload); bench smokes
-# on tiny instances whose JSON is re-checked here (bench_batch,
-# bench_engine, bench_scale, bench_models and bench_churn, each skipped when
-# not built); a Release build with its own ctest run; an ASan+UBSan pass
-# over every ctest case plus a 200-case fuzz smoke; a TSan pass over the
-# threaded suites; and fuzz smokes: 200 deterministic differential cases of
-# the §5 driver against the exact solver, then 60 per diagnosis model. A
+# on tiny instances whose JSON is re-checked here (bench_engine,
+# bench_scale, bench_models and bench_churn, each skipped when not built);
+# a Release build with its own ctest run; an ASan+UBSan pass over every
+# ctest case plus a 200-case fuzz smoke; a TSan pass over the threaded
+# suites; and fuzz smokes: 200 deterministic differential cases of the §5
+# driver against the exact solver, then 60 per diagnosis model. A
 # fuzz divergence exits non-zero and leaves minimized repro files in
 # build/fuzz-repros/ (uploaded as a CI artifact; check the repro into
 # tests/corpus/ once the bug is fixed).
@@ -54,40 +54,6 @@ PY
   done
 else
   echo "perfbench smoke: python3 unavailable, skipped"
-fi
-
-if [ -x bench/bench_batch ]; then
-  ./bench/bench_batch --smoke --out BENCH_batch.json
-  if command -v python3 >/dev/null; then
-    # Beyond parsing, the smoke must show the bitsliced cohort path alive
-    # and equivalent: every topology needs a sliced_vs_scalar row with a
-    # 64-lane cohort width whose results matched the scalar path bit for
-    # bit (the binary exits non-zero on divergence; the fields are
-    # re-checked here so a reporting bug cannot mask one).
-    python3 - <<'PY'
-import json
-with open("BENCH_batch.json") as f:
-    report = json.load(f)
-rows = report["results"]
-assert rows, "BENCH_batch.json has no results"
-topologies = {r["topology"] for r in rows}
-sliced = [r for r in rows if r.get("mode") == "sliced_vs_scalar"]
-assert sliced, "no sliced_vs_scalar rows: bitsliced cohort path never ran"
-for r in sliced:
-    assert r["cohort_width"] == 64, f"unexpected cohort width: {r}"
-    assert r["identical_to_sequential"], \
-        f"bitsliced cohort diverged from the scalar path: {r}"
-    assert r["sliced_vs_scalar"] > 0, f"degenerate throughput ratio: {r}"
-assert {r["topology"] for r in sliced} == topologies, \
-    "a topology has no 64-wide sliced_vs_scalar row"
-print(f"bench smoke: {len(sliced)} sliced_vs_scalar rows, "
-      "bitsliced cohorts bit-identical to the scalar path")
-PY
-  else
-    echo "bench smoke: python3 unavailable, JSON validation skipped"
-  fi
-else
-  echo "bench smoke: bench_batch not built (google-benchmark missing), skipped"
 fi
 
 if [ -x bench/bench_engine ]; then
@@ -239,7 +205,7 @@ fi
 if command -v python3 >/dev/null; then
   python3 - <<'PY'
 import json
-for name in ("BENCH_batch.json", "BENCH_scale.json", "BENCH_models.json",
+for name in ("BENCH_engine.json", "BENCH_scale.json", "BENCH_models.json",
              "BENCH_churn.json"):
     try:
         with open(name) as f:
@@ -284,9 +250,9 @@ if [ -x build-asan/examples/mmdiag_cli ]; then
 fi
 echo "asan+ubsan: every ctest case and the fuzz smoke clean"
 
-# TSan pass over the suites that run threads: the batch pool, the engine's
-# calibration cache and serve lanes, the churn engine, and ThreadPool itself
-# (util_test). Only those suites are built.
+# TSan pass over the suites that run threads: serve() used as a batch
+# (batch_test), the engine's calibration cache and serve lanes, the churn
+# engine, and ThreadPool itself (util_test). Only those suites are built.
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \

@@ -2,12 +2,12 @@
 //
 // Diagnoser::diagnose_cohort solves up to 64 table syndromes of one
 // calibration in lockstep, bit-identical per lane at every width from 1 to
-// 64; the scalar driver solves one at a time. BatchDiagnoser::diagnose_all
-// and DiagnosisEngine::serve both ask this planner which of their requests
-// ride a cohort: every run of at least 64 same-calibration table requests
-// does, cut into near-equal cohorts of at most 64 lanes, so a run leaves no
-// scalar remainder. Shorter runs, and every other request, go to the
-// scalar driver, where the thread pool spreads them over every lane.
+// 64; the scalar driver solves one at a time. DiagnosisEngine::serve asks
+// this planner which of its requests ride a cohort: every run of at least
+// 64 same-calibration table requests does, cut into near-equal cohorts of
+// at most 64 lanes, so a run leaves no scalar remainder. Shorter runs, and
+// every other request, go to the scalar driver, where the thread pool
+// spreads them over every lane.
 #pragma once
 
 #include <cstddef>

@@ -86,8 +86,8 @@ class Diagnoser {
 
   /// Adopts a partition certified elsewhere (the plan is shared, not
   /// copied). This is the cheap constructor: calibration is the dominant
-  /// setup cost, so BatchDiagnoser certifies once and builds one Diagnoser
-  /// per worker lane from the same partition. `partition.delta` becomes the
+  /// setup cost, so DiagnosisEngine certifies once and builds one Diagnoser
+  /// per serve() lane from the same partition. `partition.delta` becomes the
   /// fault bound. Throws std::invalid_argument when options.rule differs
   /// from the rule the partition was calibrated under (mismatched probes
   /// may fail to replay the calibration and mis-diagnose), or when a

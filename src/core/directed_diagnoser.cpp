@@ -146,11 +146,10 @@ DiagnosisResult DirectedDiagnoser::diagnose(const DirectedOracle& oracle) {
         "DirectedDiagnoser: oracle carries the MM* model — use Diagnoser");
   }
   // The oracle may carry its own Graph instance (the engine's calibration
-  // holds a separate copy of the same topology); sizes at least must agree.
-  if (oracle.graph().num_nodes() != graph_->num_nodes()) {
-    throw std::invalid_argument(
-        "DirectedDiagnoser: oracle reads a different-sized graph");
-  }
+  // holds a separate copy of the same topology); its shape must match, or
+  // the row reads below index another graph's arcs.
+  require_oracle_shape("DirectedDiagnoser", oracle, graph_->num_nodes(),
+                       graph_->min_degree(), graph_->max_degree());
   model_ = oracle.model();
   oracle.reset_lookups();
   const Timer timer;
@@ -253,6 +252,8 @@ DiagnosisResult DirectedDiagnoser::diagnose(const DirectedOracle& oracle) {
 LocalDiagnosisResult bgm_local_diagnose(const Graph& graph,
                                         const DirectedOracle& oracle,
                                         Node u) {
+  require_oracle_shape("bgm_local_diagnose", oracle, graph.num_nodes(),
+                       graph.min_degree(), graph.max_degree());
   if (oracle.model() != DiagnosisModel::kBGM) {
     throw std::invalid_argument("bgm_local_diagnose: oracle model is " +
                                 to_string(oracle.model()) +

@@ -54,7 +54,10 @@ class DirectedDiagnoser {
 
   /// Diagnose one directed syndrome. The oracle's look-up counter is reset
   /// first, and its model must be directed (throws std::invalid_argument on
-  /// an MM* oracle). Never claims success with more than delta faults.
+  /// an MM* oracle). Throws std::invalid_argument, before any look-up, when
+  /// the oracle's graph differs from this solver's in node count or minimum
+  /// or maximum degree (require_oracle_shape, O(1)). Never claims success
+  /// with more than delta faults.
   [[nodiscard]] DiagnosisResult diagnose(const DirectedOracle& oracle);
 
   [[nodiscard]] unsigned delta() const noexcept { return delta_; }
@@ -131,8 +134,10 @@ struct LocalDiagnosisResult {
 ///   a global solve can break the tie.
 ///
 /// All three rules hold for every fault set, of any size. Throws
-/// std::invalid_argument on a non-BGM oracle (PMC's symmetric invalidation
-/// voids rule 1) or an out-of-range node.
+/// std::invalid_argument, before any look-up, on an oracle whose graph
+/// differs from `graph` in node count or minimum or maximum degree
+/// (require_oracle_shape, O(1)), a non-BGM oracle (PMC's symmetric
+/// invalidation voids rule 1) or an out-of-range node.
 [[nodiscard]] LocalDiagnosisResult bgm_local_diagnose(
     const Graph& graph, const DirectedOracle& oracle, Node u);
 

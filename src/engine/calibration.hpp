@@ -69,8 +69,8 @@ struct Calibration {
 
 /// An aliasing handle to the bundle's graph: the pointee is
 /// `&calibration->graph` but the control block is the whole Calibration, so
-/// handing this to the shared-ownership Diagnoser/BatchDiagnoser
-/// constructors keeps Topology and partition alive too.
+/// handing this to the shared-ownership Diagnoser constructor keeps
+/// Topology and partition alive too.
 [[nodiscard]] inline std::shared_ptr<const Graph> graph_handle(
     std::shared_ptr<const Calibration> calibration) {
   const Graph* graph = &calibration->graph;

@@ -275,55 +275,6 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
   }
   const CohortPlan plan = plan_cohorts(run_of);
 
-  // Lane-local Diagnoser per calibration: scratch (frontiers, stamp sets)
-  // is reused across the stream without crossing threads. Stale entries
-  // for evicted calibrations can never be looked up again (the pointer
-  // differs), so on overflow those are pruned first — keeping total pinned
-  // memory proportional to the cache capacity, not to threads x capacity —
-  // and only if every entry is still resident is the map cleared outright.
-  auto lane_diagnoser =
-      [&](unsigned lane,
-          const std::shared_ptr<const Calibration>& cal) -> Diagnoser& {
-    auto& scratch = lane_scratch_[lane];
-    auto it = scratch.find(cal.get());
-    if (it == scratch.end()) {
-      if (scratch.size() >= capacity_) {
-        prune_stale(scratch);
-        if (scratch.size() >= capacity_) scratch.clear();
-      }
-      it = scratch
-               .emplace(cal.get(),
-                        LaneDiagnoser{cal,
-                                      make_calibrated_diagnoser(
-                                          cal, options_.diagnoser),
-                                      nullptr})
-               .first;
-    }
-    return *it->second.diagnoser;
-  };
-
-  // The directed counterpart: one DirectedDiagnoser per directed
-  // calibration per lane. Model-tagged keys mean a calibration is MM* or
-  // directed, never both, so the two scratch kinds never collide on a key.
-  auto lane_directed =
-      [&](unsigned lane,
-          const std::shared_ptr<const Calibration>& cal) -> DirectedDiagnoser& {
-    auto& scratch = lane_scratch_[lane];
-    auto it = scratch.find(cal.get());
-    if (it == scratch.end()) {
-      if (scratch.size() >= capacity_) {
-        prune_stale(scratch);
-        if (scratch.size() >= capacity_) scratch.clear();
-      }
-      LaneDiagnoser entry;
-      entry.calibration = cal;
-      entry.directed =
-          std::make_unique<DirectedDiagnoser>(cal->graph, cal->delta());
-      it = scratch.emplace(cal.get(), std::move(entry)).first;
-    }
-    return *it->second.directed;
-  };
-
   pool_.parallel_for(
       plan.cohorts.size() + plan.scalar.size(),
       [&](unsigned lane, std::size_t item) {
@@ -342,7 +293,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
                                  DiagnosisModel::kMMStar, &r);
               reused[k] = r;
             }
-            Diagnoser& diagnoser = lane_diagnoser(lane, cal);
+            Diagnoser& diagnoser = *lane_driver(lane, cal).diagnoser;
             const double setup_seconds = setup_timer.seconds();
             if (cal->is_implicit()) {
               // Cohorts bitslice through CSR row layout; an implicit
@@ -405,7 +356,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
                 options_.diagnoser.rule,
                 options_.diagnoser.validate_all_components,
                 request.directed->model(), &reused);
-            DirectedDiagnoser& driver = lane_directed(lane, cal);
+            DirectedDiagnoser& driver = *lane_driver(lane, cal).directed;
             const double setup_seconds = setup_timer.seconds();
             out = run_directed(driver, cal->graph, *request.directed,
                                request.local_node);
@@ -417,7 +368,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
               request.spec, options_.diagnoser.delta, options_.diagnoser.rule,
               options_.diagnoser.validate_all_components,
               DiagnosisModel::kMMStar, &reused);
-          Diagnoser& diagnoser = lane_diagnoser(lane, cal);
+          Diagnoser& diagnoser = *lane_driver(lane, cal).diagnoser;
           const double setup_seconds = setup_timer.seconds();
           out = diagnoser.diagnose(*request.oracle);
           out.calibration_reused = reused;
@@ -445,33 +396,38 @@ std::unique_ptr<Diagnoser> DiagnosisEngine::make_diagnoser(
   return make_calibrated_diagnoser(cal, diagnoser_options);
 }
 
-std::unique_ptr<BatchDiagnoser> DiagnosisEngine::make_batch_diagnoser(
-    const std::string& spec, unsigned threads) {
-  const std::shared_ptr<const Calibration> cal = calibration(spec);
-  if (cal->is_implicit()) {
-    throw std::invalid_argument(
-        "make_batch_diagnoser: batch lanes bitslice through CSR syndrome "
-        "rows; use EngineOptions::graph_mode = GraphMode::kCsr for '" +
-        spec + "'");
+DiagnosisEngine::LaneDiagnoser& DiagnosisEngine::lane_driver(
+    unsigned lane, const std::shared_ptr<const Calibration>& cal) {
+  // Lane-local drivers reuse their scratch (frontiers, stamp sets, arc
+  // tables) across the stream without crossing threads. Stale entries for
+  // evicted calibrations can never be looked up again (the pointer
+  // differs), so pruning them first keeps total pinned memory proportional
+  // to the cache capacity, not to threads x capacity.
+  auto& scratch = lane_scratch_[lane];
+  if (const auto it = scratch.find(cal.get()); it != scratch.end()) {
+    return it->second;
   }
-  BatchOptions batch;
-  batch.threads = threads;
-  batch.diagnoser = options_.diagnoser;
-  return std::make_unique<BatchDiagnoser>(graph_handle(cal), cal->partition,
-                                          batch);
-}
-
-void DiagnosisEngine::prune_stale(
-    std::unordered_map<const Calibration*, LaneDiagnoser>& scratch) const {
-  std::unordered_set<const Calibration*> resident;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    resident.reserve(lru_.size());
-    for (const Entry& entry : lru_) resident.insert(entry.calibration.get());
+  if (scratch.size() >= capacity_) {
+    std::unordered_set<const Calibration*> resident;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      resident.reserve(lru_.size());
+      for (const Entry& entry : lru_) resident.insert(entry.calibration.get());
+    }
+    std::erase_if(scratch, [&](const auto& kv) {
+      return resident.find(kv.first) == resident.end();
+    });
+    if (scratch.size() >= capacity_) scratch.clear();
   }
-  std::erase_if(scratch, [&](const auto& kv) {
-    return resident.find(kv.first) == resident.end();
-  });
+  LaneDiagnoser entry;
+  entry.calibration = cal;
+  if (cal->is_directed()) {
+    entry.directed =
+        std::make_unique<DirectedDiagnoser>(cal->graph, cal->delta());
+  } else {
+    entry.diagnoser = make_calibrated_diagnoser(cal, options_.diagnoser);
+  }
+  return scratch.emplace(cal.get(), std::move(entry)).first->second;
 }
 
 std::size_t DiagnosisEngine::invalidate(const std::string& spec) {

@@ -20,10 +20,10 @@
 //     with per-lane Diagnoser scratch reuse and per-request setup/solve
 //     accounting (DiagnosisResult::calibration_reused / setup_seconds).
 //
-// Results are bit-identical to constructing Diagnoser/BatchDiagnoser
-// directly: the engine only decides *where* the calibration lives, never
-// what the solver computes (asserted across all registry families by
-// tests/engine_test.cpp).
+// Results are bit-identical to constructing a Diagnoser (or a
+// DirectedDiagnoser) directly: the engine only decides *where* the
+// calibration lives, never what the solver computes (asserted across all
+// registry families by tests/engine_test.cpp).
 #pragma once
 
 #include <array>
@@ -35,7 +35,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/batch_diagnoser.hpp"
 #include "core/diagnoser.hpp"
 #include "core/directed_diagnoser.hpp"
 #include "engine/calibration.hpp"
@@ -124,14 +123,16 @@ class DiagnosisEngine {
 
   /// Diagnose one directed (PMC/BGM) syndrome through the cache; the model
   /// tag comes from the oracle. Thread-safe; a fresh DirectedDiagnoser is
-  /// built per call.
+  /// built per call. Throws std::invalid_argument, before any look-up, on
+  /// an oracle whose graph differs from the calibration's in shape.
   [[nodiscard]] DiagnosisResult diagnose_directed(
       const std::string& spec, const DirectedOracle& oracle);
 
   /// Decide one node's status under BGM: the local fast path first, a full
   /// solve only on kUnknown (see EngineRequest::local_node for the result
-  /// convention). Throws std::invalid_argument on a non-BGM oracle or an
-  /// out-of-range node.
+  /// convention). Throws std::invalid_argument, before any look-up, on an
+  /// oracle whose graph differs from the calibration's in node count or
+  /// minimum or maximum degree, a non-BGM oracle or an out-of-range node.
   [[nodiscard]] DiagnosisResult local_diagnose(const std::string& spec,
                                                const DirectedOracle& oracle,
                                                Node node);
@@ -162,10 +163,6 @@ class DiagnosisEngine {
   /// so the pair can never mismatch.
   [[nodiscard]] std::unique_ptr<Diagnoser> make_diagnoser(
       const std::string& spec, const DiagnoserOptions& diagnoser_options);
-
-  /// Same for a whole BatchDiagnoser (threads = 0 means hardware).
-  [[nodiscard]] std::unique_ptr<BatchDiagnoser> make_batch_diagnoser(
-      const std::string& spec, unsigned threads = 0);
 
   /// Explicitly retire every cached calibration of `spec` (all delta/rule/
   /// model variants — the key stem is the canonical spec). Returns how many
@@ -237,9 +234,12 @@ class DiagnosisEngine {
   std::vector<std::unordered_map<const Calibration*, LaneDiagnoser>>
       lane_scratch_;
 
-  /// Drops scratch entries whose calibration the LRU has since evicted.
-  void prune_stale(
-      std::unordered_map<const Calibration*, LaneDiagnoser>& scratch) const;
+  /// Lane `lane`'s driver for `cal`, built on first use: a DirectedDiagnoser
+  /// when cal->is_directed(), else a Diagnoser over the calibration's view.
+  /// On overflow, entries for calibrations the LRU has since evicted are
+  /// pruned first, and the map is cleared only if every entry is resident.
+  LaneDiagnoser& lane_driver(unsigned lane,
+                             const std::shared_ptr<const Calibration>& cal);
 };
 
 }  // namespace mmdiag

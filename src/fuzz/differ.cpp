@@ -8,7 +8,6 @@
 #include "baselines/exact_solver.hpp"
 #include "churn/churn_stream.hpp"
 #include "churn/harness.hpp"
-#include "core/batch_diagnoser.hpp"
 #include "core/diagnoser.hpp"
 #include "core/directed_diagnoser.hpp"
 #include "core/verifier.hpp"
@@ -463,38 +462,6 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
     }
     for (std::size_t i = before; i < report.divergences.size(); ++i) {
       report.divergences[i].rule = ParentRule::kLeastFirst;
-    }
-  }
-
-  // Batch: the same case over 3 worker lanes must be bit-identical to the
-  // sequential reference in every accounted dimension.
-  if (reference) {
-    try {
-      BatchOptions batch_options;
-      batch_options.threads = 3;
-      batch_options.diagnoser = spread_options;
-      BatchDiagnoser engine(s.graph(), s.spread->partition, batch_options);
-      const LazyOracle o0(s.graph(), faults, c.behavior, c.behavior_seed);
-      const LazyOracle o1(s.graph(), faults, c.behavior, c.behavior_seed);
-      const LazyOracle o2(s.graph(), faults, c.behavior, c.behavior_seed);
-      const BatchResult batch = engine.diagnose_all({&o0, &o1, &o2});
-      for (std::size_t i = 0; i < batch.results.size(); ++i) {
-        const DiagnosisResult& r = batch.results[i];
-        if (r.success != reference->success || r.faults != reference->faults ||
-            r.lookups != reference->lookups || r.probes != reference->probes ||
-            r.certified_component != reference->certified_component) {
-          report.divergences.push_back(
-              {"batch-3lane",
-               "lane result " + std::to_string(i) +
-                   " not bit-identical to the sequential run (faults " +
-                   join_nodes(r.faults) + " vs " +
-                   join_nodes(reference->faults) + ")"});
-          break;
-        }
-      }
-    } catch (const std::exception& e) {
-      report.divergences.push_back(
-          {"batch-3lane", std::string("batch engine threw: ") + e.what()});
     }
   }
 

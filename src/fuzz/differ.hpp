@@ -5,8 +5,7 @@
 // ground truth, and every driver configuration the library ships — both
 // probe parent rules, stop_probe_on_certify on and off, the implicit view
 // and the bitsliced cohort (both bit-identical to the sequential reference
-// down to the look-up counts), and BatchDiagnoser fanning the same case
-// over >1 worker lane — must agree with it exactly:
+// down to the look-up counts) — must agree with it exactly:
 //
 //   |F| <= delta  — every configuration must succeed and return F (the
 //                   paper's worst-case guarantee, which calibration plus
@@ -19,9 +18,7 @@
 //                   component is indistinguishable from a healthy one), so
 //                   the "never mis-report success" invariant is checked at
 //                   the layer that owns it: diagnose_and_verify, which must
-//                   downgrade every inconsistent success to failure;
-//   batch lanes   — bit-identical (faults, lookups, probes, component) to
-//                   the sequential run of the same options.
+//                   downgrade every inconsistent success to failure.
 //
 // Sabotage modes deliberately break the driver under test so the fuzzer's
 // find -> minimize -> repro pipeline can itself be tested (and so a repro

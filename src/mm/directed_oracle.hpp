@@ -8,6 +8,7 @@
 // bulk via add_lookups.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "graph/graph.hpp"
@@ -50,6 +51,15 @@ class DirectedOracle {
   DiagnosisModel model_;
   mutable std::uint64_t lookups_ = 0;
 };
+
+/// require_oracle_shape (mm/oracle.hpp) for a directed oracle, whose shape
+/// is that of the CSR graph() it reads: throws std::invalid_argument, naming
+/// both shapes, when that graph differs from the solver's in node count or
+/// minimum or maximum degree. O(1). Defined beside the MM* rule in
+/// mm/oracle.cpp.
+void require_oracle_shape(const char* who, const DirectedOracle& oracle,
+                          std::size_t nodes, unsigned min_degree,
+                          unsigned max_degree);
 
 /// Reads a pre-materialised directed syndrome table.
 class DirectedTableOracle final : public DirectedOracle {

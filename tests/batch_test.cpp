@@ -1,6 +1,7 @@
-// BatchDiagnoser: thread-pool correctness and bit-identical equivalence
-// with the sequential Diagnoser across topology families, batch sizes, and
-// thread counts.
+// Batches of syndromes: ThreadPool correctness, the cohort planner, and
+// DiagnosisEngine::serve used as a batch diagnoser, bit-identical to the
+// sequential Diagnoser across topology families, batch sizes and lane
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_diagnoser.hpp"
 #include "core/cohort_planner.hpp"
 #include "core/diagnoser.hpp"
+#include "engine/engine.hpp"
 #include "mm/injector.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -149,7 +150,17 @@ void expect_equivalent(const DiagnosisResult& seq, const DiagnosisResult& bat,
       << "item " << item;
 }
 
-TEST(BatchDiagnoser, BitIdenticalToSequentialAcrossFamilies) {
+/// One serve() request per oracle, all sent as `spec`.
+std::vector<EngineRequest> requests_for(
+    const std::string& spec, const std::vector<const SyndromeOracle*>& oracles) {
+  std::vector<EngineRequest> requests;
+  for (const SyndromeOracle* oracle : oracles) {
+    requests.push_back({spec, oracle, nullptr, kNoNode});
+  }
+  return requests;
+}
+
+TEST(ServeBatch, BitIdenticalToSequentialAcrossFamilies) {
   for (const char* spec : {"hypercube 7", "star 5", "kary_ncube 4 4"}) {
     SCOPED_TRACE(spec);
     test::Instance inst(spec);
@@ -163,91 +174,22 @@ TEST(BatchDiagnoser, BitIdenticalToSequentialAcrossFamilies) {
 
     for (const unsigned threads : {1u, 4u}) {
       SCOPED_TRACE(threads);
-      BatchOptions options;
+      EngineOptions options;
       options.threads = threads;
-      BatchDiagnoser engine(*inst.topo, inst.graph, options);
+      DiagnosisEngine engine(options);
       EXPECT_EQ(engine.threads(), threads);
-      EXPECT_EQ(engine.delta(), sequential.delta());
-      const BatchResult result = engine.diagnose_all(batch.ptrs);
-      ASSERT_EQ(result.results.size(), batch.ptrs.size());
-      std::uint64_t lookups = 0;
-      std::size_t succeeded = 0;
+      const std::vector<DiagnosisResult> served =
+          engine.serve(requests_for(spec, batch.ptrs));
+      ASSERT_EQ(served.size(), batch.ptrs.size());
       for (std::size_t i = 0; i < truth.size(); ++i) {
-        expect_equivalent(truth[i], result.results[i], i);
-        lookups += truth[i].lookups;
-        succeeded += truth[i].success ? 1 : 0;
+        expect_equivalent(truth[i], served[i], i);
       }
-      EXPECT_EQ(result.total_lookups, lookups);
-      EXPECT_EQ(result.succeeded, succeeded);
+      EXPECT_EQ(engine.calibration(spec)->delta(), sequential.delta());
     }
   }
 }
 
-TEST(BatchDiagnoser, EmptyAndSingletonBatches) {
-  test::Instance inst("hypercube 7");
-  BatchOptions options;
-  options.threads = 3;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-
-  const BatchResult empty = engine.diagnose_all(
-      std::vector<const SyndromeOracle*>{});
-  EXPECT_TRUE(empty.results.empty());
-  EXPECT_EQ(empty.succeeded, 0u);
-  EXPECT_EQ(empty.total_lookups, 0u);
-
-  Rng rng(7);
-  const FaultSet faults(inst.graph.num_nodes(),
-                        inject_uniform(inst.graph.num_nodes(), 3, rng));
-  const LazyOracle oracle(inst.graph, faults, FaultyBehavior::kRandom, 1);
-  const BatchResult one = engine.diagnose_all({&oracle});
-  ASSERT_EQ(one.results.size(), 1u);
-  ASSERT_TRUE(one.results[0].success) << one.results[0].failure_reason;
-  EXPECT_EQ(test::sorted(one.results[0].faults), test::sorted(faults.nodes()));
-  EXPECT_EQ(one.succeeded, 1u);
-  EXPECT_GT(one.total_lookups, 0u);
-}
-
-TEST(BatchDiagnoser, SyndromeVectorConvenienceOverload) {
-  test::Instance inst("star 5");
-  Diagnoser sequential(*inst.topo, inst.graph);
-  std::vector<Syndrome> syndromes;
-  std::vector<FaultSet> faults;
-  for (std::size_t i = 0; i < 6; ++i) {
-    Rng rng(50 + i);
-    faults.emplace_back(inst.graph.num_nodes(),
-                        inject_uniform(inst.graph.num_nodes(), i % 4, rng));
-    syndromes.push_back(generate_syndrome(inst.graph, faults.back(),
-                                          FaultyBehavior::kRandom, i));
-  }
-  BatchOptions options;
-  options.threads = 2;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-  const BatchResult result = engine.diagnose_all(syndromes);
-  ASSERT_EQ(result.results.size(), syndromes.size());
-  for (std::size_t i = 0; i < syndromes.size(); ++i) {
-    const TableOracle oracle(inst.graph, syndromes[i]);
-    expect_equivalent(sequential.diagnose(oracle), result.results[i], i);
-  }
-}
-
-TEST(BatchDiagnoser, SharedPartitionConstructor) {
-  test::Instance inst("hypercube 7");
-  Diagnoser sequential(*inst.topo, inst.graph);
-  BatchOptions options;
-  options.threads = 2;
-  // Adopt the sequential diagnoser's partition instead of re-certifying.
-  BatchDiagnoser engine(inst.graph, sequential.partition(), options);
-  EXPECT_EQ(engine.partition().plan.get(), sequential.partition().plan.get());
-
-  const TestBatch batch = make_batch(inst, sequential.delta(), 5);
-  const BatchResult result = engine.diagnose_all(batch.ptrs);
-  for (std::size_t i = 0; i < batch.ptrs.size(); ++i) {
-    expect_equivalent(sequential.diagnose(*batch.ptrs[i]), result.results[i],
-                      i);
-  }
-}
-
-TEST(BatchDiagnoser, FailedItemsKeepTheirCostAndDoNotPoisonTheBatch) {
+TEST(ServeBatch, FailedItemsKeepTheirCostAndDoNotPoisonTheBatch) {
   // One undiagnosable syndrome (every probed seed faulty, all-one testers)
   // mixed into healthy traffic: its slot reports failure with nonzero
   // look-ups, every other slot is unaffected.
@@ -266,19 +208,18 @@ TEST(BatchDiagnoser, FailedItemsKeepTheirCostAndDoNotPoisonTheBatch) {
   // consulted by exactly one lane (the look-up counter is unsynchronised).
   const LazyOracle good_a(inst.graph, healthy, FaultyBehavior::kRandom, 1);
   const LazyOracle good_b(inst.graph, healthy, FaultyBehavior::kRandom, 1);
-  BatchOptions options;
+  EngineOptions options;
   options.threads = 2;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-  const BatchResult result = engine.diagnose_all({&good_a, &bad, &good_b});
+  DiagnosisEngine engine(options);
+  const std::vector<DiagnosisResult> served =
+      engine.serve(requests_for("hypercube 7", {&good_a, &bad, &good_b}));
 
-  ASSERT_EQ(result.results.size(), 3u);
-  EXPECT_EQ(result.succeeded, 2u);
-  EXPECT_FALSE(result.results[1].success);
-  EXPECT_GT(result.results[1].lookups, 0u);
+  ASSERT_EQ(served.size(), 3u);
+  EXPECT_FALSE(served[1].success);
+  EXPECT_GT(served[1].lookups, 0u);
   for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    ASSERT_TRUE(result.results[i].success);
-    EXPECT_EQ(test::sorted(result.results[i].faults),
-              test::sorted(healthy.nodes()));
+    ASSERT_TRUE(served[i].success) << served[i].failure_reason;
+    EXPECT_EQ(test::sorted(served[i].faults), test::sorted(healthy.nodes()));
   }
 }
 
@@ -315,126 +256,32 @@ TableTestBatch make_table_batch(const test::Instance& inst, unsigned delta,
   return batch;
 }
 
-TEST(BatchDiagnoser, BitslicedCohortsMatchScalarAtEveryWidth) {
-  // Batch sizes around the planner's cuts: 15, 16 and 63 (below 64, all
-  // scalar), 64 (one cohort), 65 (two of 33 and 32), 70 (two of 35) and
-  // 130 (three of 44, 43 and 43). Each is checked against the sequential
-  // Diagnoser.
-  test::Instance inst("hypercube 7");
-  Diagnoser sequential(*inst.topo, inst.graph);
-  for (const std::size_t count :
-       {std::size_t{15}, std::size_t{16}, std::size_t{63}, std::size_t{64},
-        std::size_t{65}, std::size_t{70}, std::size_t{130}}) {
-    SCOPED_TRACE(count);
-    const TableTestBatch batch =
-        make_table_batch(inst, sequential.delta(), count);
+TEST(ServeBatch, EmptyAndSingletonBatches) {
+  // An empty stream returns nothing. One table request is far below cohort
+  // width: it must take the scalar path without stalling four lanes, and
+  // equal its direct solve.
+  EngineOptions options;
+  options.threads = 4;
+  DiagnosisEngine engine(options);
+  EXPECT_TRUE(engine.serve({}).empty());
 
-    std::vector<DiagnosisResult> truth;
-    std::uint64_t truth_lookups = 0;
-    std::size_t truth_succeeded = 0;
-    for (const SyndromeOracle* oracle : batch.ptrs) {
-      truth.push_back(sequential.diagnose(*oracle));
-      truth_lookups += truth.back().lookups;
-      truth_succeeded += truth.back().success ? 1 : 0;
-    }
-
-    BatchOptions options;
-    options.threads = 2;
-    BatchDiagnoser engine(*inst.topo, inst.graph, options);
-    const BatchResult sliced = engine.diagnose_all(batch.ptrs);
-
-    ASSERT_EQ(sliced.results.size(), count);
-    for (std::size_t i = 0; i < count; ++i) {
-      expect_equivalent(truth[i], sliced.results[i], i);
-    }
-    EXPECT_EQ(sliced.total_lookups, truth_lookups);
-    EXPECT_EQ(sliced.succeeded, truth_succeeded);
-  }
-}
-
-TEST(BatchDiagnoser, MixedLazyAndTableBatchScattersCorrectly) {
-  // 64 tables interleaved with lazy oracles: the tables form one cohort,
-  // the lazies stay scalar, and every result lands back at its original
-  // index.
-  test::Instance inst("hypercube 7");
-  Diagnoser sequential(*inst.topo, inst.graph);
-  const TableTestBatch tables =
-      make_table_batch(inst, sequential.delta(), 64);
-  const TestBatch lazies = make_batch(inst, sequential.delta(), 9);
-
-  std::vector<const SyndromeOracle*> mixed;
-  std::size_t t = 0, l = 0;
-  while (t < tables.ptrs.size() || l < lazies.ptrs.size()) {
-    if (t < tables.ptrs.size()) mixed.push_back(tables.ptrs[t++]);
-    if (l < lazies.ptrs.size()) mixed.push_back(lazies.ptrs[l++]);
-  }
-
-  std::vector<DiagnosisResult> truth;
-  for (const SyndromeOracle* oracle : mixed) {
-    truth.push_back(sequential.diagnose(*oracle));
-  }
-
-  BatchOptions options;
-  options.threads = 3;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-  const BatchResult result = engine.diagnose_all(mixed);
-  ASSERT_EQ(result.results.size(), mixed.size());
-  for (std::size_t i = 0; i < mixed.size(); ++i) {
-    expect_equivalent(truth[i], result.results[i], i);
-    ASSERT_EQ(truth[i].final_members, result.results[i].final_members) << i;
-  }
-}
-
-TEST(BatchDiagnoser, SingleItemCohortlessBatchStillWorks) {
-  // One table oracle: far below cohort width, must take the scalar path
-  // without stalling the pool.
   test::Instance inst("star 5");
   Diagnoser sequential(*inst.topo, inst.graph);
   const TableTestBatch batch = make_table_batch(inst, sequential.delta(), 1);
-  BatchOptions options;
-  options.threads = 4;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-  const BatchResult result = engine.diagnose_all(batch.ptrs);
-  ASSERT_EQ(result.results.size(), 1u);
-  expect_equivalent(sequential.diagnose(*batch.ptrs[0]), result.results[0], 0);
+  const std::vector<DiagnosisResult> served =
+      engine.serve(requests_for("star 5", batch.ptrs));
+  ASSERT_EQ(served.size(), 1u);
+  ASSERT_TRUE(served[0].success) << served[0].failure_reason;
+  expect_equivalent(sequential.diagnose(*batch.ptrs[0]), served[0], 0);
 }
 
-TEST(BatchDiagnoser, AdoptingPathRejectsConflictingDelta) {
-  // A non-zero options.diagnoser.delta that disagrees with the adopted
-  // partition's certified bound used to be silently ignored; it now throws
-  // before any lane is built.
-  test::Instance inst("hypercube 7");
-  Diagnoser sequential(*inst.topo, inst.graph);  // certifies delta = 7
-  BatchOptions conflicting;
-  conflicting.diagnoser.delta = 3;
-  EXPECT_THROW(BatchDiagnoser(inst.graph, sequential.partition(), conflicting),
-               std::invalid_argument);
-  BatchOptions agreeing;
-  agreeing.diagnoser.delta = 7;
-  EXPECT_NO_THROW(BatchDiagnoser(inst.graph, sequential.partition(), agreeing));
-}
-
-TEST(BatchDiagnoser, AdoptingPathRejectsMismatchedRule) {
-  test::Instance inst("hypercube 7");
-  Diagnoser sequential(*inst.topo, inst.graph);  // calibrated under kSpread
-  BatchOptions mismatched;
-  mismatched.diagnoser.rule = ParentRule::kLeastFirst;
-  EXPECT_THROW(BatchDiagnoser(inst.graph, sequential.partition(), mismatched),
-               std::invalid_argument);
-}
-
-TEST(BatchDiagnoser, NullOracleRejected) {
-  test::Instance inst("hypercube 7");
-  BatchDiagnoser engine(*inst.topo, inst.graph);
-  EXPECT_THROW((void)engine.diagnose_all({nullptr}), std::invalid_argument);
-}
-
-TEST(BatchDiagnoser, OracleOverAnotherGraphShapeIsRejected) {
+TEST(OracleShape, OracleOverAnotherGraphShapeIsRejected) {
   // Two strays fed to a hypercube 7 solver: a hypercube 5 syndrome, and
   // one over hypercube 7 minus an edge, which only its minimum degree
   // tells apart. Every entry point refuses each, alone and after 63
   // matched tables, with both shapes named, before reading a single
-  // result.
+  // result. serve() turns the same refusal into a failed result
+  // (engine_test's ServeFailsRequestsWhoseOracleAddressesAnotherGraph).
   test::Instance q7("hypercube 7");
   test::Instance q5("hypercube 5");
   const Graph cut = test::without_edge(q7.graph, 126, 127);
@@ -467,13 +314,8 @@ TEST(BatchDiagnoser, OracleOverAnotherGraphShapeIsRejected) {
       }
     };
     std::vector<const TableOracle*> lanes;
-    std::vector<const SyndromeOracle*> batch;
-    for (const TableOracle& o : matched.oracles) {
-      lanes.push_back(&o);
-      batch.push_back(&o);
-    }
+    for (const TableOracle& o : matched.oracles) lanes.push_back(&o);
     lanes.push_back(&stray);
-    batch.push_back(&stray);
 
     expect_rejected([&] { (void)solver.diagnose(stray); }, "diagnose");
     expect_rejected([&] { (void)solver.diagnose_cohort({&stray}); },
@@ -492,13 +334,6 @@ TEST(BatchDiagnoser, OracleOverAnotherGraphShapeIsRejected) {
           for (const TableOracle* lane : lanes) (void)sliced.add_lane(*lane);
         },
         "add_lane");
-    BatchDiagnoser whole(*q7.topo, q7.graph);
-    expect_rejected(
-        [&] {
-          (void)whole.diagnose_all(std::vector<const SyndromeOracle*>{&stray});
-        },
-        "diagnose_all alone");
-    expect_rejected([&] { (void)whole.diagnose_all(batch); }, "diagnose_all");
     EXPECT_EQ(stray.lookups(), 0u);
   }
 }

@@ -589,13 +589,11 @@ TEST(ChurnEngine, ChurnRacesInFlightBatchSolvesWithoutDisturbingThem) {
   const auto make_oracle = [&] {
     return LazyOracle(graph, faults, FaultyBehavior::kRandom, 7);
   };
-  const std::unique_ptr<BatchDiagnoser> batch =
-      engine.make_batch_diagnoser(family.spec, 2);
   const LazyOracle baseline_oracle = make_oracle();
-  const std::vector<const SyndromeOracle*> baseline_batch = {&baseline_oracle};
-  const DiagnosisResult baseline = batch->diagnose_all(baseline_batch).results[0];
+  const DiagnosisResult baseline =
+      engine.serve({{family.spec, &baseline_oracle, nullptr, kNoNode}})[0];
 
-  // Thread A hammers the immutable base calibration through batch solves;
+  // Thread A hammers the immutable base calibration through serve() calls;
   // thread B churns the overlay and diagnoses through it. The base results
   // must stay bit-identical throughout — churn is an overlay, never a
   // mutation of shared state.
@@ -604,9 +602,10 @@ TEST(ChurnEngine, ChurnRacesInFlightBatchSolvesWithoutDisturbingThem) {
     for (int i = 0; i < 16; ++i) {
       const LazyOracle o0 = make_oracle();
       const LazyOracle o1 = make_oracle();
-      const std::vector<const SyndromeOracle*> lanes = {&o0, &o1};
-      const BatchResult r = batch->diagnose_all(lanes);
-      for (const DiagnosisResult& result : r.results) {
+      const std::vector<DiagnosisResult> served =
+          engine.serve({{family.spec, &o0, nullptr, kNoNode},
+                        {family.spec, &o1, nullptr, kNoNode}});
+      for (const DiagnosisResult& result : served) {
         if (result.success != baseline.success ||
             result.faults != baseline.faults ||
             result.lookups != baseline.lookups) {

@@ -189,35 +189,43 @@ struct StreamOracles {
 };
 
 TEST(DiagnosisEngine, ServeCohortRunsLandAtTheirIndexBitIdentical) {
-  // Table runs of two specs at lengths around the cohort planner's cuts:
-  // 15, 16 and 63 stay scalar, 64 makes one cohort, 65 two, 130 three.
-  // Each round shuffles them, from a fixed seed, among lazy requests and
-  // one PMC request. Every result must land at its own index and equal
-  // the direct solver's, so a cohort that hands a lane another lane's
-  // answer fails here.
+  // Table runs of three specs at lengths around the cohort planner's cuts:
+  // 15, 16 and 63 stay scalar, 64 makes one cohort, 65 and 70 two, 130
+  // three. Each round shuffles them, from a fixed seed, among lazy
+  // requests and one PMC request. Every result must land at its own index
+  // and equal the direct solver's, so a cohort that hands a lane another
+  // lane's answer fails here.
   EngineOptions options;
   options.threads = 3;
   options.graph_mode = GraphMode::kCsr;
   DiagnosisEngine engine(options);
   const test::Instance cube("hypercube 7");
   const test::Instance star("star 5");
+  const test::Instance kary("kary_ncube 4 4");
   Diagnoser cube_direct(*cube.topo, cube.graph);
   Diagnoser star_direct(*star.topo, star.graph);
+  Diagnoser kary_direct(*kary.topo, kary.graph);
   DirectedDiagnoser pmc_direct(cube.graph, cube_direct.delta());
 
-  enum class Kind { kCubeTable, kStarTable, kCubeLazy, kStarLazy, kPmc };
-  constexpr std::size_t kRunLengths[] = {15, 16, 63, 64, 65, 130};
+  enum class Kind {
+    kCubeTable, kStarTable, kKaryTable, kCubeLazy, kStarLazy, kPmc
+  };
+  constexpr std::size_t kRunLengths[] = {15, 16, 63, 64, 65, 70, 130};
   constexpr std::size_t kCount = std::size(kRunLengths);
   for (std::size_t round = 0; round < kCount; ++round) {
     // hypercube 7 takes this round's length, star 5 the length three
-    // along, so both specs meet every length.
+    // along and kary_ncube 4 4 the length five along, so every spec meets
+    // every length.
     const std::size_t cube_run = kRunLengths[round];
     const std::size_t star_run = kRunLengths[(round + 3) % kCount];
+    const std::size_t kary_run = kRunLengths[(round + 5) % kCount];
     SCOPED_TRACE("hypercube 7 x" + std::to_string(cube_run) + ", star 5 x" +
-                 std::to_string(star_run));
+                 std::to_string(star_run) + ", kary_ncube 4 4 x" +
+                 std::to_string(kary_run));
     std::vector<Kind> kinds;
     kinds.insert(kinds.end(), cube_run, Kind::kCubeTable);
     kinds.insert(kinds.end(), star_run, Kind::kStarTable);
+    kinds.insert(kinds.end(), kary_run, Kind::kKaryTable);
     kinds.insert(kinds.end(), 5, Kind::kCubeLazy);
     kinds.insert(kinds.end(), 4, Kind::kStarLazy);
     kinds.push_back(Kind::kPmc);
@@ -238,6 +246,11 @@ TEST(DiagnosisEngine, ServeCohortRunsLandAtTheirIndexBitIdentical) {
         case Kind::kStarTable:
           requests.push_back({"star 5",
                               &oracles.table(star.graph, star_direct.delta(), k, rng),
+                              nullptr, kNoNode});
+          break;
+        case Kind::kKaryTable:
+          requests.push_back({"kary_ncube 4 4",
+                              &oracles.table(kary.graph, kary_direct.delta(), k, rng),
                               nullptr, kNoNode});
           break;
         case Kind::kCubeLazy:
@@ -268,9 +281,10 @@ TEST(DiagnosisEngine, ServeCohortRunsLandAtTheirIndexBitIdentical) {
     for (std::size_t i = 0; i < served.size(); ++i) {
       const EngineRequest& rq = requests[i];
       const DiagnosisResult expected =
-          rq.directed != nullptr ? pmc_direct.diagnose(*rq.directed)
-          : rq.spec == "star 5"  ? star_direct.diagnose(*rq.oracle)
-                                 : cube_direct.diagnose(*rq.oracle);
+          rq.directed != nullptr        ? pmc_direct.diagnose(*rq.directed)
+          : rq.spec == "star 5"         ? star_direct.diagnose(*rq.oracle)
+          : rq.spec == "kary_ncube 4 4" ? kary_direct.diagnose(*rq.oracle)
+                                        : cube_direct.diagnose(*rq.oracle);
       expect_bit_identical(expected, served[i], i);
     }
   }
@@ -349,6 +363,98 @@ TEST(DiagnosisEngine, ServeFailsRequestsWhoseOracleAddressesAnotherGraph) {
       expect_bit_identical(direct.diagnose(*requests[i].oracle), served[i], i);
     }
   }
+}
+
+TEST(DiagnosisEngine, DirectedOracleOverAnotherGraphIsRejected) {
+  // Two directed strays sent as "hypercube 7": a BGM table over hypercube
+  // 5, which a local request for node 100 would read past its 32 rows, and
+  // a PMC lazy oracle over hypercube 7 minus an edge, whose node count
+  // matches but whose node 126 has one neighbour fewer. Every entry point
+  // must refuse each before its first look-up, naming both shapes; in
+  // serve() each fails alone while matched PMC and BGM local requests in
+  // the same stream equal their direct solves.
+  const test::Instance q7("hypercube 7");
+  const test::Instance q5("hypercube 5");
+  const Graph cut = test::without_edge(q7.graph, 126, 127);
+  const FaultSet q5_faults(q5.graph.num_nodes(), {3});
+  const DirectedSyndrome q5_syndrome = generate_directed_syndrome(
+      q5.graph, q5_faults, DiagnosisModel::kBGM, FaultyBehavior::kAllOne, 1);
+  const DirectedTableOracle bgm_stray(q5.graph, q5_syndrome,
+                                      DiagnosisModel::kBGM);
+  const FaultSet cut_faults(cut.num_nodes(), {3, 77});
+  const DirectedLazyOracle pmc_stray(cut, cut_faults, DiagnosisModel::kPMC,
+                                     FaultyBehavior::kRandom, 1);
+  const std::string solver_shape =
+      ", but the solver's graph has 128 nodes of degree 7";
+  const struct {
+    const DirectedOracle& oracle;
+    std::string reason;
+  } strays[] = {
+      {bgm_stray,
+       "the oracle addresses a graph of 32 nodes of degree 5" + solver_shape},
+      {pmc_stray,
+       "the oracle addresses a graph of 128 nodes of degree 6..7" +
+           solver_shape}};
+
+  DiagnosisEngine engine;
+  DirectedDiagnoser direct(q7.graph, 7);
+  constexpr Node kLocal = 100;
+  for (const auto& stray : strays) {
+    SCOPED_TRACE(stray.reason);
+    auto expect_rejected = [&](auto&& call, const char* who) {
+      try {
+        call();
+        ADD_FAILURE() << who << " accepted an oracle over another graph";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(stray.reason), std::string::npos)
+            << who << ": " << e.what();
+      }
+    };
+    expect_rejected(
+        [&] { (void)engine.local_diagnose("hypercube 7", stray.oracle, kLocal); },
+        "local_diagnose");
+    expect_rejected(
+        [&] { (void)engine.diagnose_directed("hypercube 7", stray.oracle); },
+        "diagnose_directed");
+    expect_rejected(
+        [&] { (void)bgm_local_diagnose(q7.graph, stray.oracle, kLocal); },
+        "bgm_local_diagnose");
+    expect_rejected([&] { (void)direct.diagnose(stray.oracle); },
+                    "DirectedDiagnoser");
+    EXPECT_EQ(stray.oracle.lookups(), 0u);
+  }
+
+  const DirectedLazyOracle pmc_matched(q7.graph, cut_faults,
+                                       DiagnosisModel::kPMC,
+                                       FaultyBehavior::kRandom, 2);
+  const DirectedLazyOracle bgm_matched(q7.graph, cut_faults,
+                                       DiagnosisModel::kBGM,
+                                       FaultyBehavior::kRandom, 3);
+  const std::vector<EngineRequest> requests = {
+      {"hypercube 7", nullptr, &pmc_matched, kNoNode},
+      {"hypercube 7", nullptr, &bgm_stray, kLocal},
+      {"hypercube 7", nullptr, &pmc_stray, kNoNode},
+      {"hypercube 7", nullptr, &bgm_matched, 3},
+  };
+  const std::vector<DiagnosisResult> served = engine.serve(requests);
+  ASSERT_EQ(served.size(), requests.size());
+  for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+    EXPECT_FALSE(served[i].success) << "item " << i;
+    EXPECT_NE(served[i].failure_reason.find(strays[i - 1].reason),
+              std::string::npos)
+        << "item " << i << ": " << served[i].failure_reason;
+  }
+  EXPECT_EQ(bgm_stray.lookups(), 0u);
+  EXPECT_EQ(pmc_stray.lookups(), 0u);
+
+  expect_bit_identical(direct.diagnose(pmc_matched), served[0], 0);
+  const LocalDiagnosisResult local =
+      bgm_local_diagnose(q7.graph, bgm_matched, 3);
+  ASSERT_EQ(local.status, LocalDiagnosisStatus::kFaulty);
+  EXPECT_TRUE(served[3].success) << served[3].failure_reason;
+  EXPECT_TRUE(served[3].used_local_fast_path);
+  EXPECT_EQ(served[3].faults, (std::vector<Node>{3}));
+  EXPECT_EQ(served[3].lookups, local.lookups);
 }
 
 TEST(DiagnosisEngine, CanonicalSpecSharingAcrossSpellings) {
@@ -477,12 +583,10 @@ TEST(DiagnosisEngine, TwoEntryLruOverFourSpecsHammeredByWorkers) {
 
 TEST(DiagnosisEngine, SharedOwnershipOutlivesTheEngine) {
   std::unique_ptr<Diagnoser> diagnoser;
-  std::unique_ptr<BatchDiagnoser> batch;
   {
     DiagnosisEngine engine;
     diagnoser = engine.make_diagnoser("hypercube 7");
-    batch = engine.make_batch_diagnoser("hypercube 7", 2);
-  }  // engine (and its cache) destroyed; the bundles live on
+  }  // engine (and its cache) destroyed; the bundle lives on
   test::Instance inst("hypercube 7");
   Rng rng(23);
   const FaultSet faults(inst.graph.num_nodes(),
@@ -491,10 +595,6 @@ TEST(DiagnosisEngine, SharedOwnershipOutlivesTheEngine) {
   const LazyOracle b(inst.graph, faults, FaultyBehavior::kAntiDiagnostic, 9);
   const DiagnosisResult direct = Diagnoser(*inst.topo, inst.graph).diagnose(a);
   expect_bit_identical(direct, diagnoser->diagnose(b), 0);
-  const LazyOracle c(inst.graph, faults, FaultyBehavior::kAntiDiagnostic, 9);
-  const BatchResult batched = batch->diagnose_all({&c});
-  ASSERT_EQ(batched.results.size(), 1u);
-  expect_bit_identical(direct, batched.results[0], 1);
 }
 
 TEST(DiagnosisEngine, DiagnoseFillsTheAmortisationSplit) {
@@ -577,10 +677,23 @@ TEST(DiagnosisEngine, ImplicitModeIsBitIdenticalAndMaterialisesNoEdges) {
                          imp_engine.diagnose(spec, ilazy), i);
   }
 
-  // Batch lanes address syndrome rows through the materialised CSR layout.
-  EXPECT_THROW((void)imp_engine.make_batch_diagnoser(spec),
-               std::invalid_argument);
-  EXPECT_NO_THROW((void)csr_engine.make_batch_diagnoser(spec));
+  // A run of 64 table requests is one cohort on the CSR engine; the
+  // implicit engine solves the same cohort scalar, since cohorts bitslice
+  // through CSR row layout. Every answer must match.
+  StreamOracles oracles;
+  Rng rng(0x1A7E);
+  std::vector<EngineRequest> requests;
+  for (std::size_t k = 0; k < 64; ++k) {
+    requests.push_back({spec, &oracles.table(inst.graph, csr_cal->delta(), k, rng),
+                        nullptr, kNoNode});
+  }
+  const std::vector<DiagnosisResult> csr_served = csr_engine.serve(requests);
+  const std::vector<DiagnosisResult> imp_served = imp_engine.serve(requests);
+  ASSERT_EQ(csr_served.size(), requests.size());
+  ASSERT_EQ(imp_served.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_bit_identical(csr_served[i], imp_served[i], i);
+  }
 }
 
 TEST(DiagnosisEngine, ImplicitOracleOverAnotherGraphThrowsBeforeAnyLookup) {
@@ -633,8 +746,8 @@ TEST(DiagnosisEngine, ImplicitOracleOverAnotherGraphThrowsBeforeAnyLookup) {
 
 TEST(DiagnosisEngine, AutoModeKeepsSmallInstancesOnCsr) {
   // kAuto flips to implicit only at kImplicitAutoNodeThreshold (2^17)
-  // nodes; everything in the test-sized range stays CSR so the batch and
-  // cohort paths keep working by default.
+  // nodes; everything in the test-sized range stays CSR so the cohort
+  // path keeps working by default.
   DiagnosisEngine engine;  // graph_mode = kAuto
   const auto cal = engine.calibration("hypercube 8");
   EXPECT_FALSE(cal->is_implicit());
