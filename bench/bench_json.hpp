@@ -1,11 +1,7 @@
-// JSON bench reporting — the machine-readable BENCH_*.json artefacts that
-// track the perf trajectory across PRs. Values are pre-encoded: JsonValue
-// holds finished JSON text, so composition is string concatenation and the
-// writer cannot emit structurally invalid output.
-//
-// Split out of bench_util.hpp so benches that do not use google-benchmark
-// (bench_scale, bench_models, bench_churn) can report without pulling in
-// the benchmark library.
+// JSON bench reporting — the machine-readable BENCH_paper.json record that
+// bench_paper writes. Values are pre-encoded: JsonValue holds finished JSON
+// text, so composition is string concatenation and the writer cannot emit
+// structurally invalid output.
 #pragma once
 
 #include <cmath>
@@ -85,8 +81,8 @@ inline JsonValue json_array(const std::vector<JsonValue>& items) {
 
 /// Accumulates one result record per measured configuration and writes
 ///   { "bench": <name>, "schema_version": 1, <meta...>, "results": [...] }
-/// pretty-printed one record per line, so diffs of BENCH_*.json stay
-/// reviewable across perf PRs.
+/// pretty-printed one record per line, so diffs of the committed record
+/// stay reviewable.
 class JsonBenchReport {
  public:
   explicit JsonBenchReport(std::string bench_name)

@@ -356,7 +356,11 @@ int cmd_diagnose_batch(const std::string& dir, unsigned threads) {
 /// status through the BGM neighbourhood-read fast path.
 int cmd_diagnose_directed(const LoadedDirectedSyndrome& loaded,
                           Node local_node, bool have_local) {
-  DiagnosisEngine engine(EngineOptions{});
+  // One request, solved on this thread: neither call below goes through
+  // serve(), so a pool of workers would only sit idle.
+  EngineOptions engine_options;
+  engine_options.threads = 1;
+  DiagnosisEngine engine(engine_options);
   const DirectedTableOracle oracle(loaded.graph, loaded.syndrome,
                                    loaded.model);
   std::cout << "loaded " << loaded.spec << ": " << loaded.graph.num_nodes()

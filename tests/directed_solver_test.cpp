@@ -152,6 +152,32 @@ TEST(BgmLocalDiagnosis, SoundInBothRegimesAndWithinTheLookupBound) {
   }
 }
 
+TEST(BgmLocalDiagnosis, ReadsUnderATenthOfAGlobalSolve) {
+  // The reason the engine serves local requests ahead of global solves: on
+  // hypercube 10 a request reads inside its 2-ball (at most 110 arcs),
+  // while a global solve reads the whole syndrome. Counted look-ups, not
+  // wall time, so the margin cannot flake with the host's load.
+  const Instance inst("hypercube 10");
+  const std::size_t n = inst.graph.num_nodes();
+  constexpr unsigned kDelta = 10;
+  DirectedDiagnoser global(inst.graph, kDelta);
+  for (const FaultyBehavior behavior : kAllFaultyBehaviors) {
+    for (const std::size_t count : {std::size_t{0}, std::size_t{kDelta}}) {
+      SCOPED_TRACE(to_string(behavior) + " count " + std::to_string(count));
+      Rng rng(count * 17 + 5);
+      const FaultSet faults(n, inject_uniform(n, count, rng));
+      const DirectedLazyOracle oracle(inst.graph, faults,
+                                      DiagnosisModel::kBGM, behavior, 3);
+      const std::uint64_t global_lookups = global.diagnose(oracle).lookups;
+      for (Node u = 0; u < n; ++u) {
+        EXPECT_LT(10 * bgm_local_diagnose(inst.graph, oracle, u).lookups,
+                  global_lookups)
+            << "u=" << u;
+      }
+    }
+  }
+}
+
 TEST(BgmLocalDiagnosis, FaultFreeAnswersHealthyInOneLookup) {
   // All arcs are 0, so rule 1 fires on the very first incoming read.
   const Instance inst("star 4");

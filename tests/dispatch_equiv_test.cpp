@@ -356,59 +356,65 @@ TEST(DispatchEquivalence, CohortRejectsBadWidthsAndNullLanes) {
 // probes AND look-up counts — to one driven through the materialised CSR,
 // for every registry family, whether the oracle itself reads the implicit
 // view (ImplicitLazyOracle) or a shared syndrome table (TableOracle).
-TEST(DispatchEquivalence, ImplicitViewMatchesCsrEveryFamily) {
-  for (const FamilyCase& family : kEveryFamily) {
-    SCOPED_TRACE(family.spec);
-    test::Instance inst(family.spec);
-    const std::size_t n = inst.graph.num_nodes();
-    const ImplicitGraph iview(*inst.topo);
+void expect_implicit_matches_csr(const FamilyCase& family) {
+  SCOPED_TRACE(family.spec);
+  test::Instance inst(family.spec);
+  const std::size_t n = inst.graph.num_nodes();
+  const ImplicitGraph iview(*inst.topo);
 
-    // Both certifications must settle on the same plan with the same
-    // look-up budget: calibration never materialises edges on the implicit
-    // side, yet walks the identical probe sequence.
-    CertifiedPartition csr_partition = find_certified_partition(
-        *inst.topo, inst.graph, family.delta, ParentRule::kSpread);
-    CertifiedPartition imp_partition = find_certified_partition(
-        *inst.topo, iview, family.delta, ParentRule::kSpread);
-    EXPECT_EQ(csr_partition.plan->description(),
-              imp_partition.plan->description());
-    EXPECT_EQ(csr_partition.calibration_lookups,
-              imp_partition.calibration_lookups);
-    EXPECT_EQ(csr_partition.delta, imp_partition.delta);
+  // Both certifications must settle on the same plan with the same
+  // look-up budget: calibration never materialises edges on the implicit
+  // side, yet walks the identical probe sequence.
+  CertifiedPartition csr_partition = find_certified_partition(
+      *inst.topo, inst.graph, family.delta, ParentRule::kSpread);
+  CertifiedPartition imp_partition = find_certified_partition(
+      *inst.topo, iview, family.delta, ParentRule::kSpread);
+  EXPECT_EQ(csr_partition.plan->description(),
+            imp_partition.plan->description());
+  EXPECT_EQ(csr_partition.calibration_lookups,
+            imp_partition.calibration_lookups);
+  EXPECT_EQ(csr_partition.delta, imp_partition.delta);
 
-    Diagnoser csr_diagnoser(inst.graph, csr_partition, DiagnoserOptions{});
-    Diagnoser imp_diagnoser(iview, imp_partition, DiagnoserOptions{});
+  Diagnoser csr_diagnoser(inst.graph, csr_partition, DiagnoserOptions{});
+  Diagnoser imp_diagnoser(iview, imp_partition, DiagnoserOptions{});
 
-    for (const std::size_t num_faults :
-         {std::size_t{0}, std::size_t{1}, std::size_t{family.delta}}) {
-      for (const FaultyBehavior behavior :
-           {FaultyBehavior::kRandom, FaultyBehavior::kAntiDiagnostic}) {
-        Rng rng(0x1A9C0DE ^ (num_faults * 977));
-        const FaultSet faults(n, inject_uniform(n, num_faults, rng));
-        const std::string what = std::string(family.spec) + "/faults=" +
-                                 std::to_string(num_faults) + "/" +
-                                 to_string(behavior);
+  for (const std::size_t num_faults :
+       {std::size_t{0}, std::size_t{1}, std::size_t{family.delta}}) {
+    for (const FaultyBehavior behavior :
+         {FaultyBehavior::kRandom, FaultyBehavior::kAntiDiagnostic}) {
+      Rng rng(0x1A9C0DE ^ (num_faults * 977));
+      const FaultSet faults(n, inject_uniform(n, num_faults, rng));
+      const std::string what = std::string(family.spec) + "/faults=" +
+                               std::to_string(num_faults) + "/" +
+                               to_string(behavior);
 
-        // Lazy oracles: each side consults its own view's adjacency.
-        const LazyOracle lazy(inst.graph, faults, behavior, /*seed=*/42);
-        const ImplicitLazyOracle ilazy(iview, faults, behavior, /*seed=*/42);
-        const DiagnosisResult expected = csr_diagnoser.diagnose(lazy);
-        expect_bit_identical(expected, imp_diagnoser.diagnose(ilazy),
-                             what + "/lazy");
-        EXPECT_EQ(lazy.lookups(), ilazy.lookups()) << what;
+      // Lazy oracles: each side consults its own view's adjacency.
+      const LazyOracle lazy(inst.graph, faults, behavior, /*seed=*/42);
+      const ImplicitLazyOracle ilazy(iview, faults, behavior, /*seed=*/42);
+      const DiagnosisResult expected = csr_diagnoser.diagnose(lazy);
+      expect_bit_identical(expected, imp_diagnoser.diagnose(ilazy),
+                           what + "/lazy");
+      EXPECT_EQ(lazy.lookups(), ilazy.lookups()) << what;
 
-        // Shared TableOracle: the very same oracle object through both
-        // drivers — any positional drift between the views would misread
-        // the table.
-        const Syndrome syndrome =
-            generate_syndrome(inst.graph, faults, behavior, /*seed=*/42);
-        const TableOracle table(inst.graph, syndrome);
-        const DiagnosisResult t_expected = csr_diagnoser.diagnose(table);
-        expect_bit_identical(t_expected, imp_diagnoser.diagnose(table),
-                             what + "/table");
-      }
+      // Shared TableOracle: the very same oracle object through both
+      // drivers — any positional drift between the views would misread
+      // the table.
+      const Syndrome syndrome =
+          generate_syndrome(inst.graph, faults, behavior, /*seed=*/42);
+      const TableOracle table(inst.graph, syndrome);
+      const DiagnosisResult t_expected = csr_diagnoser.diagnose(table);
+      expect_bit_identical(t_expected, imp_diagnoser.diagnose(table),
+                           what + "/table");
     }
   }
+}
+
+TEST(DispatchEquivalence, ImplicitViewMatchesCsrEveryFamily) {
+  for (const FamilyCase& family : kEveryFamily) {
+    expect_implicit_matches_csr(family);
+  }
+  // One 2^16-node instance, a scale none of the families above reaches.
+  expect_implicit_matches_csr({"hypercube 16", 16});
 }
 
 TEST(DispatchEquivalence, ImplicitDiagnoserRejectsCsrOnlyPaths) {
