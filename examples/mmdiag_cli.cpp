@@ -43,7 +43,7 @@
 //       certified partition under probe rule R (least-first | spread |
 //       least-sync | hash-spread). --memory adds the CSR footprint
 //       (estimated, never built, when the instance resolves to the
-//       implicit view) against ImplicitGraph's O(1) bytes.
+//       implicit view) and, for a hypercube, ImplicitGraph's O(1) bytes.
 //
 //   mmdiag_cli fuzz [--cases N] [--seed S] [--model M] [--out-dir DIR] ...
 //   mmdiag_cli fuzz --replay FILE
@@ -608,9 +608,9 @@ int cmd_info(const std::vector<std::string>& args) {
   if (spec.empty()) return usage();
   const auto topo = make_topology_from_spec(spec);
   const auto info = topo->info();
-  // The same auto rule the engine applies: large implicit-capable instances
-  // never materialise their CSR here — info stays O(N) memory at any size.
-  const bool implicit = resolve_implicit_mode(GraphMode::kAuto, info);
+  // The same auto rule the engine applies: hypercubes of 2^17 nodes or more
+  // never materialise their CSR here — info stays O(N) memory on them.
+  const bool implicit = resolve_implicit_mode(GraphMode::kAuto, *topo);
   std::cout << info.name << " (" << info.family << ")\n"
             << "  spec:           " << topo->spec() << "\n"
             << "  nodes:          " << info.num_nodes << "\n"
@@ -622,7 +622,10 @@ int cmd_info(const std::vector<std::string>& args) {
             << "  graph view:     " << (implicit ? "implicit" : "csr") << "\n"
             << "  models:\n"
             << "    mm-star       Diagnoser over the comparator matrix "
-               "(SyndromeOracle; csr or implicit view)\n"
+               "(SyndromeOracle; "
+            << (ImplicitGraph::supports(*topo) ? "csr or implicit view"
+                                               : "csr view")
+            << ")\n"
             << "    pmc           DirectedDiagnoser global solve "
                "(DirectedOracle; csr only)\n"
             << "    bgm           DirectedDiagnoser + bgm_local_diagnose "
@@ -635,8 +638,7 @@ int cmd_info(const std::vector<std::string>& args) {
                  : graph.memory_bytes();
     std::cout << "  memory:         csr " << csr_bytes << " B"
               << (implicit ? " (estimated, not built)" : "");
-    if (info.degree <= ImplicitGraph::kMaxDegree &&
-        info.num_nodes <= static_cast<std::uint64_t>(kNoNode)) {
+    if (ImplicitGraph::supports(*topo)) {
       const ImplicitGraph view(*topo);
       std::cout << " vs implicit " << view.memory_bytes() << " B";
     }

@@ -3,16 +3,17 @@
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
 # with every build and ctest step bounded at -j "$(nproc)": a bare -j lets
 # make start every ready compile at once. Before it, every "DESIGN.md §x.y"
-# citation in the sources is checked against DESIGN.md's headings. After it
-# come a perfbench answer-check smoke (one 2-second traced run per
-# workload); the paper record (bench_paper, whose BENCH_paper.json is
-# re-checked here); a Release build with its own ctest run; an ASan+UBSan
-# pass over every ctest case plus a 200-case fuzz smoke; a TSan pass over
-# the threaded suites; and fuzz smokes: 200 deterministic differential
-# cases of the §5 driver against the exact solver, then 60 per diagnosis
-# model. A fuzz divergence exits non-zero and leaves minimized repro files in
-# build/fuzz-repros/ (uploaded as a CI artifact; check the repro into
-# tests/corpus/ once the bug is fixed).
+# citation in the sources is checked against DESIGN.md's headings, and every
+# cited BENCH_<name>.json record and bench_<name> binary against the files
+# that exist. After it come a perfbench answer-check smoke (one 2-second
+# traced run per workload); the paper record (bench_paper, whose
+# BENCH_paper.json is re-checked here); a Release build with its own ctest
+# run; an ASan+UBSan pass over every ctest case plus a 200-case fuzz smoke;
+# a TSan pass over the threaded suites; and fuzz smokes: 200 deterministic
+# differential cases of the §5 driver against the exact solver, then 60 per
+# diagnosis model. A fuzz divergence exits non-zero and leaves minimized
+# repro files in build/fuzz-repros/ (uploaded as a CI artifact; check the
+# repro into tests/corpus/ once the bug is fixed).
 #
 # Run from the repository root. Pass extra cmake arguments through, e.g.
 #   scripts/ci.sh -DMMDIAG_FORCE_BUNDLED_GTEST=ON
@@ -30,6 +31,27 @@ for section in $(grep -rhoE 'DESIGN\.md §[0-9]+(\.[0-9]+)*' src tests \
     exit 1
   fi
 done
+
+# Every BENCH_<name>.json the sources cite must be a committed record at the
+# repository root, and every bench_<name> that src/, tests/ or examples/
+# cite must have a bench/bench_<name>.* source. bench/ is left out of the
+# second check: bench_json.hpp has a bench_name_ member.
+stale=0
+while IFS=: read -r file line record; do
+  if [ ! -f "$record" ]; then
+    echo "$file:$line cites $record, which is not at the repository root"
+    stale=1
+  fi
+done < <(grep -rnoE 'BENCH_[A-Za-z0-9_]+\.json' src tests examples bench)
+while IFS=: read -r file line bench; do
+  if ! compgen -G "bench/$bench.*" >/dev/null; then
+    echo "$file:$line cites $bench, which has no bench/$bench.* source"
+    stale=1
+  fi
+done < <(grep -rnoE '\bbench_[A-Za-z0-9_]+' src tests examples)
+if [ "$stale" -ne 0 ]; then
+  exit 1
+fi
 
 cmake -B build -S . "$@"
 cmake --build build -j "$jobs"

@@ -39,8 +39,9 @@ struct ChurnHarnessReport {
   std::size_t degraded_components_seen = 0;  // across all diagnose events
   std::size_t empty_components_seen = 0;
   std::size_t cache_reuses = 0;  // diagnose-delta answers served from cache
-  /// Incremental recertification work vs what cold recalibration would do:
-  /// the warm-vs-cold headline ratio of BENCH_churn.json.
+  /// Incremental recertification work vs what cold recalibration would do,
+  /// checked by the ChurnHarness.* tests; perfbench's churn-online workload
+  /// measures the same path.
   std::uint64_t warm_recert_components = 0;
   std::uint64_t cold_recert_components = 0;
   std::vector<std::string> divergences;

@@ -40,7 +40,7 @@ TopologyOverlay::TopologyOverlay(const Graph& base)
 
 TopologyOverlay::TopologyOverlay(const ImplicitGraph& base)
     : implicit_(&base), num_nodes_(base.num_nodes()) {
-  // ImplicitGraph::kMaxDegree is already 64, so no degree check is needed.
+  // A hypercube's degree is at most 30, so no degree check is needed.
   removed_.assign((num_nodes_ + 63) / 64, 0);
   dead_mask_.assign(num_nodes_, 0);
 }

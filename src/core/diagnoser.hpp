@@ -11,7 +11,8 @@
 //   3. output N = the neighbours of U_r. By Theorem 1 (κ >= δ), N = F.
 //
 // Total cost O(Δ·N) time and at most (Δ-1)(Δ/2 + |U_r| - 1) syndrome
-// look-ups for the final run (§6) — both measured by the benches.
+// look-ups for the final run (§6) — recorded as E1 and E8 in
+// BENCH_paper.json.
 #pragma once
 
 #include <algorithm>
@@ -39,13 +40,13 @@ struct DiagnoserOptions {
   /// seed already known healthy, so no certificate is needed and the paper's
   /// least-first rule applies: it admits members as soon as one 0-test
   /// appears, touching each edge at most once — about Δ/2 times fewer
-  /// look-ups than the deferred spread rule (measured by bench_ablation).
+  /// look-ups than the deferred spread rule (E12 in BENCH_paper.json).
   ParentRule final_rule = ParentRule::kLeastFirst;
   /// Calibrate every component (safe default) or just component 0.
   bool validate_all_components = true;
   /// Stop probe runs as soon as they certify instead of building the whole
-  /// component (optimisation measured by bench_ablation; the paper builds
-  /// probes to their fixpoint).
+  /// component (optimisation measured as E12 in BENCH_paper.json; the paper
+  /// builds probes to their fixpoint).
   bool stop_probe_on_certify = false;
 };
 

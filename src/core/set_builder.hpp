@@ -153,8 +153,8 @@ class SetBuilder {
   }
 
   /// If true, stop growing as soon as the certificate fires (the paper
-  /// builds to the fixpoint; this is a probe-phase optimisation measured by
-  /// bench_ablation). Default false = paper-faithful.
+  /// builds to the fixpoint; this is a probe-phase optimisation measured as
+  /// E12 in BENCH_paper.json). Default false = paper-faithful.
   void set_stop_on_certify(bool stop) noexcept { stop_on_certify_ = stop; }
 
   [[nodiscard]] ParentRule rule() const noexcept { return rule_; }

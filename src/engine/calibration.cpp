@@ -1,5 +1,6 @@
 #include "engine/calibration.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "util/timer.hpp"
@@ -41,16 +42,17 @@ std::shared_ptr<const Calibration> build_calibration(
     calibration->build_seconds = timer.seconds();
     return calibration;
   }
-  const bool implicit = resolve_implicit_mode(mode, topology->info());
   const Timer timer;
+  // Throws for any topology but the hypercube, before anything is allocated.
+  std::optional<ImplicitGraph> view;
+  if (resolve_implicit_mode(mode, *topology)) view.emplace(*topology);
   auto calibration = std::make_shared<Calibration>();
   calibration->spec = topology->spec();
   calibration->topology = std::move(topology);
-  if (implicit) {
+  if (view) {
     // No edges are ever materialised: the view computes adjacency on the
     // fly and the certification walk runs straight through it.
-    calibration->implicit_view =
-        std::make_shared<const ImplicitGraph>(calibration->topology);
+    calibration->implicit_view = std::make_shared<const ImplicitGraph>(*view);
     calibration->partition =
         find_certified_partition(*calibration->topology,
                                  *calibration->implicit_view, delta, rule,

@@ -21,17 +21,19 @@
 
 namespace mmdiag {
 
-// GraphMode (and its name helpers) lives in util/enum_names.hpp. kAuto
-// picks kImplicit for implicit-capable topologies at or above
-// kImplicitAutoNodeThreshold nodes — where the CSR arrays start to
-// dominate memory — and kCsr below it, keeping small instances on the
-// path that also serves materialised-syndrome (TableOracle) requests.
+// GraphMode (and its name helpers) lives in util/enum_names.hpp. Only the
+// hypercube has an implicit view (graph/implicit_graph.hpp). kAuto picks it
+// for hypercubes at or above kImplicitAutoNodeThreshold nodes, where its
+// closed form solves faster than the CSR arrays and needs none of their
+// memory, and kCsr for every other instance, which keeps small hypercubes
+// on the path that also serves materialised-syndrome (TableOracle)
+// requests. kImplicit on any other family fails in build_calibration.
 
 inline constexpr std::uint64_t kImplicitAutoNodeThreshold = std::uint64_t{1}
                                                             << 17;
 
 [[nodiscard]] inline bool resolve_implicit_mode(GraphMode mode,
-                                                const TopologyInfo& info) {
+                                                const Topology& topology) {
   switch (mode) {
     case GraphMode::kCsr:
       return false;
@@ -40,8 +42,8 @@ inline constexpr std::uint64_t kImplicitAutoNodeThreshold = std::uint64_t{1}
     case GraphMode::kAuto:
       break;
   }
-  return info.num_nodes >= kImplicitAutoNodeThreshold &&
-         info.degree <= ImplicitGraph::kMaxDegree;
+  return ImplicitGraph::supports(topology) &&
+         topology.info().num_nodes >= kImplicitAutoNodeThreshold;
 }
 
 struct Calibration {
@@ -77,9 +79,9 @@ struct Calibration {
   return std::shared_ptr<const Graph>(std::move(calibration), graph);
 }
 
-/// The implicit-view counterpart of graph_handle. The view already owns the
-/// topology through its own shared_ptr, so the handle keeps everything a
-/// Diagnoser needs alive.
+/// The implicit-view counterpart of graph_handle. The view holds nothing but
+/// the dimension, so the handle alone keeps everything a Diagnoser needs
+/// alive.
 [[nodiscard]] inline std::shared_ptr<const ImplicitGraph> implicit_handle(
     const std::shared_ptr<const Calibration>& calibration) {
   return calibration->implicit_view;
@@ -91,7 +93,10 @@ struct Calibration {
 /// delta is used as-is. Throws DiagnosisUnsupportedError when no partition
 /// plan certifies the bound under `rule`. `mode` selects the GraphView: in
 /// implicit mode no edge is ever materialised — calibration itself runs
-/// through the closed-form adjacency.
+/// through the hypercube's closed-form adjacency; any other topology throws
+/// std::invalid_argument there, before anything is allocated. On the CSR
+/// view, a graph that cannot fit throws Topology::build_graph's
+/// std::length_error.
 ///
 /// `model` tags the bundle's test semantics. Directed models (kPMC/kBGM)
 /// need no partition certification — their drivers deduce from per-arc

@@ -96,8 +96,7 @@ DiagnosisEngine::ResolvedKey DiagnosisEngine::resolve(
   // Directed bundles are CSR-only (their drivers read adjacency both ways),
   // so a graph_mode preference never leaks into their keys.
   out.implicit = !is_directed_model(model) &&
-                 resolve_implicit_mode(options_.graph_mode,
-                                       out.topology->info());
+                 resolve_implicit_mode(options_.graph_mode, *out.topology);
   out.key = out.topology->spec();
   out.key += "|delta=" + std::to_string(out.delta);
   out.key += "|rule=" + parent_rule_to_string(rule);

@@ -53,11 +53,12 @@ struct EngineOptions {
   /// Per-request defaults: rule/delta/validate_all select the calibration,
   /// the remaining fields configure each per-request Diagnoser.
   DiagnoserOptions diagnoser;
-  /// GraphView selection for calibrations this engine builds. kAuto keeps
-  /// small instances on CSR (which also serves TableOracle/batch requests)
-  /// and switches large implicit-capable topologies to the O(1)-memory
-  /// ImplicitGraph. The resolved choice is part of the cache key, so one
-  /// engine never conflates the two representations of a spec.
+  /// GraphView selection for calibrations this engine builds. kAuto puts
+  /// hypercubes of 2^17 nodes or more on the O(1)-memory ImplicitGraph and
+  /// everything else on CSR (which also serves TableOracle/batch requests);
+  /// kImplicit fails every request whose topology is not a hypercube. The
+  /// resolved choice is part of the cache key, so one engine never
+  /// conflates the two representations of a spec.
   GraphMode graph_mode = GraphMode::kAuto;
 };
 

@@ -398,11 +398,11 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
       report, "seq-spread", s.graph(), s.spread->partition, spread_options, c, faults);
   if (reference) {
     check_result(report, "seq-spread", *reference, truth, c);
-    // Implicit-graph voice: the same case through closed-form adjacency.
-    // The implicit view enumerates neighbours in CSR order, so faults,
-    // look-ups and probes must all match the materialised reference bit
-    // for bit — any drift is an adjacency-formula bug.
-    if (s.spread->topology->info().degree <= ImplicitGraph::kMaxDegree) {
+    // Implicit-graph voice, on hypercube cases: the same case through the
+    // closed-form adjacency. The implicit view enumerates neighbours in CSR
+    // order, so faults, look-ups and probes must all match the materialised
+    // reference bit for bit — any drift is an adjacency-formula bug.
+    if (ImplicitGraph::supports(*s.spread->topology)) {
       try {
         const ImplicitGraph iview(*s.spread->topology);
         Diagnoser diagnoser(iview, s.spread->partition, spread_options);

@@ -4,8 +4,9 @@
 // behaviour, seed) is served lazily, ExactSolver::diagnose() provides the
 // ground truth, and every driver configuration the library ships — both
 // probe parent rules, stop_probe_on_certify on and off, the implicit view
-// and the bitsliced cohort (both bit-identical to the sequential reference
-// down to the look-up counts) — must agree with it exactly:
+// (hypercube cases) and the bitsliced cohort (both bit-identical to the
+// sequential reference down to the look-up counts) — must agree with it
+// exactly:
 //
 //   |F| <= delta  — every configuration must succeed and return F (the
 //                   paper's worst-case guarantee, which calibration plus

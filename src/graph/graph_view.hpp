@@ -1,11 +1,11 @@
 // GraphView: the adjacency interface the solver hot path is templated over.
 //
 // Two models exist: the CSR `Graph` (O(E) arrays, O(1)/O(log Δ) queries) and
-// `ImplicitGraph` (O(1) state, queries answered by the topology's closed-form
-// adjacency arithmetic). Both enumerate each node's neighbours in ascending
-// id order — that shared order is what makes solver runs on the two views
-// consult identical (node, position) syndrome bits and therefore produce
-// bit-identical results and look-up counts.
+// the hypercube's `ImplicitGraph` (O(1) state, queries answered by bit
+// arithmetic on the node id). Both enumerate each node's neighbours in
+// ascending id order — that shared order is what makes solver runs on the
+// two views consult identical (node, position) syndrome bits and therefore
+// produce bit-identical results and look-up counts.
 //
 // Mirror positions are answered one edge at a time, from the edge the
 // solver admits: it passes the neighbour it already holds, so a view never

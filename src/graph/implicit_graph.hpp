@@ -1,23 +1,31 @@
-// ImplicitGraph: a GraphView that never materialises edges.
+// ImplicitGraph: the hypercube's GraphView, which never materialises edges.
 //
-// Every adjacency query is answered by the topology's closed-form implicit
-// API (Topology::sorted_neighbors / neighbor / neighbor_position), so the
-// whole view is O(1) memory regardless of node count — hypercube 20 (2^20
-// nodes, 2^20·20 directed edges) costs the same few dozen bytes as
-// hypercube 4. neighbors() returns a small by-value array rather than a
-// span into storage; the solver templates consume either shape identically.
-// A mirror position is neighbor_position(v, u) on the neighbour v the
-// caller already holds, so the solver computes one only for the member it
-// admits and never re-derives that member. No mutable scratch: the view is
-// safe to share across the engine's worker threads.
+// Q_n's sorted adjacency is bit arithmetic on the node id, so the whole view
+// is the dimension: O(1) memory regardless of node count — hypercube 20
+// (2^20 nodes, 2^20·20 directed edges) costs the same few bytes as
+// hypercube 7. The ascending neighbour order of u is the set bits of u by
+// descending index (each flip decreases u), then the unset bits by
+// ascending index (each flip increases u): exactly the order the CSR Graph
+// stores, so a solver driven through either view consults identical
+// (node, position) syndrome bits. No other family has a view: each solves
+// faster on its CSR, so the constructors reject them.
+//
+// neighbors() returns a small by-value array rather than a span into
+// storage; the solver templates consume either shape identically. A mirror
+// position is neighbor_position(v, u) on the neighbour v the caller already
+// holds. No mutable state: the view is safe to share across the engine's
+// worker threads.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
 #include "graph/graph.hpp"
 #include "graph/graph_view.hpp"
+#include "topology/hypercube.hpp"
 #include "topology/topology.hpp"
 #include "util/types.hpp"
 
@@ -25,10 +33,6 @@ namespace mmdiag {
 
 class ImplicitGraph {
  public:
-  /// Ceiling on the degree this view supports — matches the word-level
-  /// syndrome-row width, so anything the fast solver path can drive fits.
-  static constexpr unsigned kMaxDegree = 64;
-
   /// The neighbours of one node, by value. Indexable/iterable like the
   /// std::span the CSR Graph returns.
   class AdjacencyList {
@@ -42,53 +46,77 @@ class ImplicitGraph {
 
    private:
     friend class ImplicitGraph;
-    Node node_[kMaxDegree];
+    Node node_[std::numeric_limits<Node>::digits];  // Q_n has n <= 32
     unsigned count_ = 0;
   };
 
-  /// Owning: keeps the topology alive for the view's lifetime (the engine's
-  /// calibration path hands the topology over this way).
-  explicit ImplicitGraph(std::shared_ptr<const Topology> topology)
-      : owner_(std::move(topology)) {
-    init(owner_.get());
+  /// Whether `topology` has this view: only a Hypercube does.
+  [[nodiscard]] static bool supports(const Topology& topology) noexcept {
+    return dynamic_cast<const Hypercube*>(&topology) != nullptr;
   }
 
-  /// Non-owning: caller guarantees the topology outlives the view.
-  explicit ImplicitGraph(const Topology& topology) { init(&topology); }
+  /// Both constructors read the dimension and keep no reference to the
+  /// topology. They throw std::invalid_argument, naming the family, for any
+  /// topology that is not a Hypercube.
+  explicit ImplicitGraph(const std::shared_ptr<const Topology>& topology)
+      : ImplicitGraph(*topology) {}
+  explicit ImplicitGraph(const Topology& topology)
+      : n_(dimension_of(topology)), mask_((Node{1} << n_) - 1) {}
 
-  [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
-  [[nodiscard]] unsigned degree(Node /*u*/) const noexcept { return degree_; }
-  [[nodiscard]] unsigned max_degree() const noexcept { return degree_; }
-  [[nodiscard]] unsigned min_degree() const noexcept { return degree_; }
+  [[nodiscard]] std::size_t num_nodes() const noexcept {
+    return std::size_t{mask_} + 1;
+  }
+  [[nodiscard]] unsigned degree(Node /*u*/) const noexcept { return n_; }
+  [[nodiscard]] unsigned max_degree() const noexcept { return n_; }
+  [[nodiscard]] unsigned min_degree() const noexcept { return n_; }
 
-  [[nodiscard]] AdjacencyList neighbors(Node u) const {
+  [[nodiscard]] AdjacencyList neighbors(Node u) const noexcept {
     AdjacencyList adj;
-    adj.count_ = topo_->sorted_neighbors(u, adj.node_);
+    // Set bits, descending index: the neighbours below u, ascending.
+    for (Node bits = u; bits != 0;) {
+      const Node high = Node{1} << (31u - std::countl_zero(bits));
+      adj.node_[adj.count_++] = u ^ high;
+      bits ^= high;
+    }
+    // Unset bits, ascending index: the neighbours above u, ascending.
+    for (Node bits = ~u & mask_; bits != 0; bits &= bits - 1) {
+      adj.node_[adj.count_++] = u ^ (Node{1} << std::countr_zero(bits));
+    }
     return adj;
   }
 
-  [[nodiscard]] Node neighbor(Node u, unsigned p) const {
-    return topo_->neighbor(u, p);
+  /// The p-th neighbour of u in ascending order. Precondition: p < n.
+  [[nodiscard]] Node neighbor(Node u, unsigned p) const noexcept {
+    const auto set = static_cast<unsigned>(std::popcount(u));
+    // The p-th in descending set-bit order is the (set - p)-th lowest set
+    // bit; past the set bits comes the (p - set + 1)-th lowest unset bit.
+    return p < set ? u ^ nth_lowest_bit(u, set - p)
+                   : u ^ nth_lowest_bit(~u & mask_, p - set + 1);
   }
 
-  [[nodiscard]] int neighbor_position(Node u, Node v) const {
-    return topo_->neighbor_position(u, v);
+  /// Position of v in u's ascending adjacency, or -1 if u !~ v.
+  [[nodiscard]] int neighbor_position(Node u, Node v) const noexcept {
+    const Node d = u ^ v;
+    if (!std::has_single_bit(d) || d > mask_) return -1;
+    const auto i = static_cast<unsigned>(std::countr_zero(d));
+    if ((u & d) != 0) {
+      // Set bit i: preceded in the ascending order by the set bits above it.
+      return std::popcount(u >> (i + 1));
+    }
+    // Unset bit i: preceded by all set bits plus the unset bits below it.
+    return std::popcount(u) + static_cast<int>(i) -
+           std::popcount(u & (d - 1));
   }
 
   /// u's position in adj(v). Precondition: v = neighbor(u, p). Throws
-  /// std::logic_error when v's adjacency lacks u: nothing validates a
-  /// topology's symmetry before this view drives a solver.
+  /// std::logic_error when v is not a neighbour of u.
   [[nodiscard]] unsigned mirror_position(Node u, unsigned /*p*/,
                                          Node v) const {
-    const int pos = topo_->neighbor_position(v, u);
+    const int pos = neighbor_position(v, u);
     if (pos < 0) {
-      throw std::logic_error("ImplicitGraph: adjacency asymmetry");
+      throw std::logic_error("ImplicitGraph: mirror query on a non-edge");
     }
     return static_cast<unsigned>(pos);
-  }
-
-  [[nodiscard]] bool has_edge(Node u, Node v) const {
-    return topo_->neighbor_position(u, v) >= 0;
   }
 
   /// The view's whole footprint — contrast with Graph::memory_bytes().
@@ -98,31 +126,29 @@ class ImplicitGraph {
 
   /// What the CSR representation of the same topology would cost.
   [[nodiscard]] std::uint64_t csr_bytes_estimate() const noexcept {
-    return csr_memory_bytes_estimate(num_nodes_, degree_);
+    return csr_memory_bytes_estimate(num_nodes(), n_);
   }
-
-  [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
 
  private:
-  void init(const Topology* topology) {
-    topo_ = topology;
-    const TopologyInfo ti = topology->info();
-    if (ti.degree > kMaxDegree) {
-      throw std::invalid_argument(
-          "ImplicitGraph: topology degree exceeds the 64-neighbour ceiling");
+  static unsigned dimension_of(const Topology& topology) {
+    const auto* cube = dynamic_cast<const Hypercube*>(&topology);
+    if (cube == nullptr) {
+      throw std::invalid_argument("ImplicitGraph: family '" +
+                                  topology.info().family +
+                                  "' has no implicit view; only the "
+                                  "hypercube has one");
     }
-    if (ti.num_nodes > static_cast<std::uint64_t>(kNoNode)) {
-      throw std::invalid_argument(
-          "ImplicitGraph: node count overflows 32-bit node id space");
-    }
-    num_nodes_ = static_cast<std::size_t>(ti.num_nodes);
-    degree_ = ti.degree;
+    return cube->dimension();
   }
 
-  std::shared_ptr<const Topology> owner_;  // null for the non-owning ctor
-  const Topology* topo_ = nullptr;
-  std::size_t num_nodes_ = 0;
-  unsigned degree_ = 0;
+  /// The r-th lowest set bit of x (r is 1-indexed), as a one-bit mask.
+  static Node nth_lowest_bit(Node x, unsigned r) noexcept {
+    for (unsigned i = 1; i < r; ++i) x &= x - 1;
+    return Node{1} << std::countr_zero(x);
+  }
+
+  unsigned n_;
+  Node mask_;
 };
 
 static_assert(GraphView<Graph>);

@@ -1,6 +1,11 @@
 #include "topology/topology.hpp"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "graph/builder.hpp"
 
@@ -8,12 +13,22 @@ namespace mmdiag {
 
 namespace {
 
-// Scratch for the generic implicit-adjacency fallbacks. thread_local so the
-// fallbacks stay allocation-free in steady state and safe under the engine's
-// thread pool.
-std::vector<Node>& fallback_scratch() {
-  thread_local std::vector<Node> scratch;
-  return scratch;
+// The most memory this process may hold: physical memory, capped by the
+// address-space limit when one is set.
+std::uint64_t memory_limit_bytes() {
+  std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGE_SIZE);
+  if (pages > 0 && page_size > 0) {
+    limit = static_cast<std::uint64_t>(pages) *
+            static_cast<std::uint64_t>(page_size);
+  }
+  rlimit address_space{};
+  if (getrlimit(RLIMIT_AS, &address_space) == 0 &&
+      address_space.rlim_cur != RLIM_INFINITY) {
+    limit = std::min<std::uint64_t>(limit, address_space.rlim_cur);
+  }
+  return limit;
 }
 
 }  // namespace
@@ -28,35 +43,19 @@ std::string Topology::spec() const {
 }
 
 Graph Topology::build_graph() const {
+  const TopologyInfo ti = info();
+  const std::uint64_t estimate =
+      csr_memory_bytes_estimate(ti.num_nodes, ti.degree);
+  const std::uint64_t limit = memory_limit_bytes();
+  if (estimate > limit) {
+    throw std::length_error(
+        spec() + ": its CSR graph needs an estimated " +
+        std::to_string(estimate) + " B, more than the " +
+        std::to_string(limit) + " B of memory this process may use");
+  }
   return build_graph_from_generator(
-      static_cast<std::size_t>(info().num_nodes),
+      static_cast<std::size_t>(ti.num_nodes),
       [this](Node u, std::vector<Node>& out) { neighbors(u, out); });
-}
-
-unsigned Topology::degree(Node /*u*/) const { return info().degree; }
-
-unsigned Topology::sorted_neighbors(Node u, Node* out) const {
-  std::vector<Node>& scratch = fallback_scratch();
-  neighbors(u, scratch);
-  std::sort(scratch.begin(), scratch.end());
-  std::copy(scratch.begin(), scratch.end(), out);
-  return static_cast<unsigned>(scratch.size());
-}
-
-Node Topology::neighbor(Node u, unsigned p) const {
-  std::vector<Node>& scratch = fallback_scratch();
-  neighbors(u, scratch);
-  std::sort(scratch.begin(), scratch.end());
-  return scratch[p];
-}
-
-int Topology::neighbor_position(Node u, Node v) const {
-  std::vector<Node>& scratch = fallback_scratch();
-  neighbors(u, scratch);
-  std::sort(scratch.begin(), scratch.end());
-  const auto it = std::lower_bound(scratch.begin(), scratch.end(), v);
-  if (it == scratch.end() || *it != v) return -1;
-  return static_cast<int>(it - scratch.begin());
 }
 
 unsigned diagnosability_by_chang(std::uint64_t num_nodes, unsigned degree,

@@ -62,7 +62,10 @@ class Topology {
     return info().diagnosability;
   }
 
-  /// Materialise the adjacency as a CSR graph (validates symmetry).
+  /// Materialise the adjacency as a CSR graph (validates symmetry). Throws
+  /// std::length_error, before allocating, when csr_memory_bytes_estimate
+  /// exceeds the memory this process may use: physical memory, capped by
+  /// RLIMIT_AS when one is set.
   [[nodiscard]] Graph build_graph() const;
 
   /// Convenience: neighbours as a fresh vector.
@@ -71,34 +74,6 @@ class Topology {
     neighbors(u, out);
     return out;
   }
-
-  // --- Implicit (closed-form) adjacency --------------------------------------
-  // The same queries a CSR Graph answers from its arrays, answered from the
-  // family's adjacency arithmetic instead. The *sorted-ascending* order is
-  // part of the contract: it is exactly the order build_graph() stores, so a
-  // solver driven through ImplicitGraph consults identical (node, position)
-  // pairs — and therefore identical syndrome bits — as one driven through
-  // the materialised CSR. Generic fallbacks enumerate-and-sort through the
-  // virtual neighbors() (thread-local scratch, no per-call allocation in
-  // steady state); families with closed forms override them (Hypercube in
-  // O(1)/O(Δ) popcount arithmetic, KAryNCube in O(Δ) digit arithmetic).
-  // A mirror position (u's place in adj(v) for v = neighbor(u, p)) needs no
-  // query of its own: ImplicitGraph answers it as neighbor_position(v, u)
-  // from the v its caller already holds.
-
-  /// Number of neighbours of u (= degree; all §5 families are regular).
-  [[nodiscard]] virtual unsigned degree(Node u) const;
-
-  /// Fills out[0..degree) with the neighbours of u in ascending id order —
-  /// the CSR adjacency order. Returns the count. out must have room for
-  /// degree(u) entries.
-  virtual unsigned sorted_neighbors(Node u, Node* out) const;
-
-  /// The p-th neighbour of u in ascending order. Precondition: p < degree(u).
-  [[nodiscard]] virtual Node neighbor(Node u, unsigned p) const;
-
-  /// Position of v in u's ascending adjacency, or -1 if u !~ v.
-  [[nodiscard]] virtual int neighbor_position(Node u, Node v) const;
 };
 
 /// Diagnosability via Chang–Lai–Tan–Hsu [6]: a t-regular, t-connected graph

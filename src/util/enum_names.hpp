@@ -38,7 +38,9 @@ inline constexpr ParentRule kAllParentRules[] = {
 
 // ---------------------------------------------------------------------------
 // GraphMode — which GraphView a calibration (and the Diagnosers built on it)
-// uses; engine/calibration.hpp documents the kAuto resolution rule.
+// uses: the CSR Graph, or the hypercube's O(1)-memory ImplicitGraph, which
+// no other family has. kAuto picks the implicit view for hypercubes of 2^17
+// nodes or more (resolve_implicit_mode in engine/calibration.hpp).
 // ---------------------------------------------------------------------------
 
 enum class GraphMode : std::uint8_t { kAuto, kCsr, kImplicit };

@@ -1,5 +1,5 @@
-// Monotonic wall-clock timer for example programs and ad-hoc measurements.
-// (Benches use google-benchmark's timing; this is for examples/tests.)
+// Monotonic wall-clock timer for examples, tests and ad-hoc measurements;
+// bench_paper's timing helper (best_seconds) takes its best of N from it.
 #pragma once
 
 #include <chrono>

@@ -240,7 +240,7 @@ TEST(DirectedEngine, DirectedCalibrationsRefuseTheImplicitView) {
                    DiagnosisModel::kPMC)),
                std::invalid_argument);
   // Through the engine, kAuto resolves directed bundles to CSR instead of
-  // throwing — even on an implicit-capable instance.
+  // throwing — even on a hypercube, which has an implicit view.
   EngineOptions options;
   options.graph_mode = GraphMode::kAuto;
   DiagnosisEngine engine(options);

@@ -3,9 +3,11 @@
 // shared ownership) and bit-identical equivalence with directly constructed
 // Diagnosers across every registry family.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <set>
@@ -752,12 +754,99 @@ TEST(DiagnosisEngine, AutoModeKeepsSmallInstancesOnCsr) {
   const auto cal = engine.calibration("hypercube 8");
   EXPECT_FALSE(cal->is_implicit());
   EXPECT_GT(cal->graph.num_nodes(), 0u);
-  TopologyInfo big;
-  big.num_nodes = std::uint64_t{1} << 20;
-  big.degree = 20;
-  EXPECT_TRUE(resolve_implicit_mode(GraphMode::kAuto, big));
-  big.degree = 65;  // past the implicit ceiling: stays CSR even at scale
-  EXPECT_FALSE(resolve_implicit_mode(GraphMode::kAuto, big));
+}
+
+// The kAuto route, pinned without building anything: the implicit view for
+// hypercubes of 2^17 nodes or more, CSR for every other family at any size.
+TEST(DiagnosisEngine, AutoModePutsOnlyLargeHypercubesOnTheImplicitView) {
+  const auto routes_implicit = [](const char* spec) {
+    const std::unique_ptr<Topology> topology = make_topology_from_spec(spec);
+    return resolve_implicit_mode(GraphMode::kAuto, *topology);
+  };
+  EXPECT_FALSE(routes_implicit("hypercube 16"));
+  EXPECT_TRUE(routes_implicit("hypercube 17"));
+  EXPECT_TRUE(routes_implicit("hypercube 20"));
+  for (const char* spec :
+       {"star 9", "pancake 9", "nk_star 10 6", "arrangement 10 6",
+        "crossed_cube 17", "twisted_cube 17", "folded_hypercube 17",
+        "enhanced_hypercube 17 3", "augmented_cube 17", "shuffle_cube 18",
+        "twisted_n_cube 17", "kary_ncube 11 3", "augmented_kary_ncube 11 3"}) {
+    EXPECT_GE(make_topology_from_spec(spec)->info().num_nodes,
+              kImplicitAutoNodeThreshold)
+        << spec;
+    EXPECT_FALSE(routes_implicit(spec)) << spec;
+  }
+}
+
+TEST(DiagnosisEngine, ImplicitModeFailsAnotherFamilyAsOneRequest) {
+  EngineOptions options;
+  options.graph_mode = GraphMode::kImplicit;
+  DiagnosisEngine engine(options);
+  const test::Instance star("star 5");
+  const test::Instance cube("hypercube 8");
+  const FaultSet star_faults(star.graph.num_nodes(), {7});
+  const FaultSet cube_faults(cube.graph.num_nodes(), {3, 77});
+  const LazyOracle star_oracle(star.graph, star_faults,
+                               FaultyBehavior::kRandom, 1);
+  const LazyOracle cube_oracle(cube.graph, cube_faults,
+                               FaultyBehavior::kRandom, 1);
+  const std::vector<DiagnosisResult> results =
+      engine.serve({{"star 5", &star_oracle, nullptr, kNoNode},
+                    {"hypercube 8", &cube_oracle, nullptr, kNoNode}});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[0].success);
+  EXPECT_NE(results[0].failure_reason.find("'star' has no implicit view"),
+            std::string::npos)
+      << results[0].failure_reason;
+  EXPECT_TRUE(results[1].success) << results[1].failure_reason;
+  EXPECT_EQ(results[1].faults, (std::vector<Node>{3, 77}));
+  EXPECT_EQ(engine.counters().entries, 1u);  // the failed build is not cached
+}
+
+std::int64_t peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;  // kilobytes on Linux
+}
+
+// A CSR that cannot fit is refused before anything is allocated:
+// augmented_kary_ncube 19 3 has 3^19 nodes of degree 74, an estimated
+// ~650 GiB of CSR, and no implicit view.
+TEST(DiagnosisEngine, RefusesACsrThatCannotFitBeforeAllocating) {
+  const char* spec = "augmented_kary_ncube 19 3";
+  const test::Instance cube("hypercube 8");
+  const FaultSet faults(cube.graph.num_nodes(), {3, 77});
+  const LazyOracle oracle(cube.graph, faults, FaultyBehavior::kRandom, 1);
+  const FaultFreeOracle fault_free;
+  const std::int64_t rss_before = peak_rss_kb();
+
+  EXPECT_THROW((void)make_topology_from_spec(spec)->build_graph(),
+               std::length_error);
+  DiagnosisEngine engine;
+  try {
+    (void)engine.calibration(spec);
+    ADD_FAILURE() << "an unaffordable CSR was calibrated";
+  } catch (const std::length_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::string(spec) + ": its CSR graph needs an "
+                                            "estimated "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(" B of memory this process may use"),
+              std::string::npos)
+        << what;
+  }
+  const std::vector<DiagnosisResult> results =
+      engine.serve({{spec, &fault_free, nullptr, kNoNode},
+                    {"hypercube 8", &oracle, nullptr, kNoNode}});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[0].success);
+  EXPECT_NE(results[0].failure_reason.find("its CSR graph needs an estimated"),
+            std::string::npos)
+      << results[0].failure_reason;
+  EXPECT_TRUE(results[1].success) << results[1].failure_reason;
+  EXPECT_EQ(results[1].faults, (std::vector<Node>{3, 77}));
+  EXPECT_LT(peak_rss_kb() - rss_before, 64 * 1024);
 }
 
 // ---- Explicit invalidation -------------------------------------------------

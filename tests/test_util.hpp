@@ -16,8 +16,8 @@
 
 namespace mmdiag::test {
 
-/// Small instances of all 14 registry families; the closed-form families
-/// (hypercube, kary_ncube) plus every generic-fallback family.
+/// Small instances of all 14 registry families; only the hypercube has an
+/// implicit view.
 inline constexpr const char* kEveryFamilySpec[] = {
     "hypercube 5",          "crossed_cube 5",
     "twisted_cube 5",       "folded_hypercube 5",
