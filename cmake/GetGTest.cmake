@@ -1,17 +1,16 @@
 # Resolve a GoogleTest to link the suites against, in order of preference:
 #
 #   1. the system install (find_package),
-#   2. FetchContent from github (needs network; probed with a timeout so an
-#      offline configure falls through instead of aborting),
-#   3. the vendored single-header fallback in third_party/minigtest.
+#   2. the vendored single-header fallback in third_party/minigtest.
 #
-# Tier 3 keeps fully offline builds working: it is a small gtest-compatible
+# Tier 2 keeps fully offline builds working: it is a small gtest-compatible
 # reimplementation covering the macro surface the mmdiag suites use (TEST,
 # TEST_F, TEST_P/INSTANTIATE_TEST_SUITE_P, EXPECT_*/ASSERT_*, SCOPED_TRACE,
-# GTEST_SKIP). Set -DMMDIAG_FORCE_BUNDLED_GTEST=ON to exercise it directly.
+# GTEST_SKIP). Nothing is downloaded. Set -DMMDIAG_FORCE_BUNDLED_GTEST=ON to
+# exercise it directly; scripts/ci.sh builds and runs the suites that way.
 #
 # Defines the function mmdiag_link_gtest(<target>) and sets
-# MMDIAG_GTEST_PROVIDER to "system", "fetched" or "bundled".
+# MMDIAG_GTEST_PROVIDER to "system" or "bundled".
 
 set(MMDIAG_GTEST_PROVIDER "")
 
@@ -19,46 +18,6 @@ if(NOT MMDIAG_FORCE_BUNDLED_GTEST)
   find_package(GTest QUIET)
   if(GTest_FOUND)
     set(MMDIAG_GTEST_PROVIDER "system")
-  endif()
-endif()
-
-if(NOT MMDIAG_GTEST_PROVIDER AND NOT MMDIAG_FORCE_BUNDLED_GTEST)
-  set(_gtest_url
-    "https://github.com/google/googletest/archive/refs/tags/v1.14.0.tar.gz")
-  set(_gtest_tarball "${CMAKE_BINARY_DIR}/_deps/googletest-v1.14.0.tar.gz")
-  # The hash is checked manually rather than via EXPECTED_HASH: a mismatch
-  # there is a fatal configure error even with STATUS, which would block the
-  # fall-through to the bundled tier and wedge reconfigures on a cached
-  # corrupt-but-HTTP-200 download (e.g. a captive-portal HTML page).
-  set(_gtest_sha256
-    "8ad598c73ad796e0d8280b082cebd82a630d73e73cd3c70057938a6501bba5d7")
-  if(NOT EXISTS "${_gtest_tarball}")
-    file(DOWNLOAD "${_gtest_url}" "${_gtest_tarball}"
-      TIMEOUT 20 STATUS _gtest_dl_status)
-    list(GET _gtest_dl_status 0 _gtest_dl_code)
-    if(NOT _gtest_dl_code EQUAL 0)
-      file(REMOVE "${_gtest_tarball}")
-    endif()
-  endif()
-  if(EXISTS "${_gtest_tarball}")
-    file(SHA256 "${_gtest_tarball}" _gtest_actual_sha256)
-    if(NOT _gtest_actual_sha256 STREQUAL _gtest_sha256)
-      message(STATUS
-        "mmdiag: googletest download failed integrity check — discarding")
-      file(REMOVE "${_gtest_tarball}")
-    endif()
-  endif()
-  if(EXISTS "${_gtest_tarball}")
-    include(FetchContent)
-    set(FETCHCONTENT_QUIET ON)
-    FetchContent_Declare(googletest
-      URL "${_gtest_tarball}"
-      DOWNLOAD_EXTRACT_TIMESTAMP TRUE)
-    set(gtest_force_shared_crt ON CACHE BOOL "" FORCE)
-    FetchContent_MakeAvailable(googletest)
-    if(TARGET gtest_main)
-      set(MMDIAG_GTEST_PROVIDER "fetched")
-    endif()
   endif()
 endif()
 
@@ -79,7 +38,8 @@ function(mmdiag_link_gtest target)
   elseif(TARGET GTest::gtest_main)
     target_link_libraries(${target} PRIVATE GTest::gtest_main GTest::gtest)
   else()
-    target_link_libraries(${target} PRIVATE gtest_main gtest)
+    # FindGTest before CMake 3.20 defines only GTest::GTest and GTest::Main.
+    target_link_libraries(${target} PRIVATE GTest::Main GTest::GTest)
   endif()
 endfunction()
 

@@ -39,11 +39,12 @@
 //
 //   mmdiag_cli info <spec...> [--rule R] [--memory]
 //       Print the topology's constants, the diagnosis models it can be
-//       served under (with each model's solver and oracle family), and its
-//       certified partition under probe rule R (least-first | spread |
-//       least-sync | hash-spread). --memory adds the CSR footprint
-//       (estimated, never built, when the instance resolves to the
-//       implicit view) and, for a hypercube, ImplicitGraph's O(1) bytes.
+//       served under (with each model's solver and oracle family), and the
+//       certified partition a default engine calibrates under probe rule R
+//       (least-first | spread | least-sync | hash-spread), or why it
+//       refuses to. --memory adds the CSR footprint (estimated from the
+//       shape, and never built when the instance resolves to the implicit
+//       view) and, for a hypercube, ImplicitGraph's O(1) bytes.
 //
 //   mmdiag_cli fuzz [--cases N] [--seed S] [--model M] [--out-dir DIR] ...
 //   mmdiag_cli fuzz --replay FILE
@@ -77,7 +78,6 @@
 
 #include "churn/churn_stream.hpp"
 #include "churn/harness.hpp"
-#include "core/certified_partition.hpp"
 #include "core/diagnoser.hpp"
 #include "core/verifier.hpp"
 #include "engine/engine.hpp"
@@ -606,10 +606,11 @@ int cmd_info(const std::vector<std::string>& args) {
     spec += args[i];
   }
   if (spec.empty()) return usage();
-  const auto topo = make_topology_from_spec(spec);
+  auto topo = make_topology_from_spec(spec);
   const auto info = topo->info();
-  // The same auto rule the engine applies: hypercubes of 2^17 nodes or more
-  // never materialise their CSR here — info stays O(N) memory on them.
+  const bool hypercube = ImplicitGraph::supports(*topo);
+  // The engine's own kAuto rule: hypercubes of 2^17 nodes or more calibrate
+  // on the implicit view and never materialise their CSR here.
   const bool implicit = resolve_implicit_mode(GraphMode::kAuto, *topo);
   std::cout << info.name << " (" << info.family << ")\n"
             << "  spec:           " << topo->spec() << "\n"
@@ -623,40 +624,35 @@ int cmd_info(const std::vector<std::string>& args) {
             << "  models:\n"
             << "    mm-star       Diagnoser over the comparator matrix "
                "(SyndromeOracle; "
-            << (ImplicitGraph::supports(*topo) ? "csr or implicit view"
-                                               : "csr view")
-            << ")\n"
+            << (hypercube ? "csr or implicit view" : "csr view") << ")\n"
             << "    pmc           DirectedDiagnoser global solve "
                "(DirectedOracle; csr only)\n"
             << "    bgm           DirectedDiagnoser + bgm_local_diagnose "
                "fast path (DirectedOracle; csr only)\n";
-  Graph graph;
-  if (!implicit) graph = topo->build_graph();
+  // The bundle a default engine would build; a CSR that cannot fit throws
+  // std::length_error here, before anything is allocated.
+  std::shared_ptr<const Calibration> cal;
+  std::string unsupported;
+  try {
+    cal = build_calibration(std::move(topo), 0, rule, true, GraphMode::kAuto);
+  } catch (const DiagnosisUnsupportedError& e) {
+    unsupported = e.what();
+  }
   if (show_memory) {
-    const std::uint64_t csr_bytes =
-        implicit ? csr_memory_bytes_estimate(info.num_nodes, info.degree)
-                 : graph.memory_bytes();
-    std::cout << "  memory:         csr " << csr_bytes << " B"
-              << (implicit ? " (estimated, not built)" : "");
-    if (ImplicitGraph::supports(*topo)) {
-      const ImplicitGraph view(*topo);
-      std::cout << " vs implicit " << view.memory_bytes() << " B";
+    std::cout << "  memory:         csr "
+              << csr_memory_bytes_estimate(info.num_nodes, info.degree)
+              << " B" << (implicit ? " (estimated, not built)" : "");
+    if (hypercube) {
+      std::cout << " vs implicit " << sizeof(ImplicitGraph) << " B";
     }
     std::cout << "\n";
   }
-  try {
-    CertifiedPartition cp;
-    if (implicit) {
-      const ImplicitGraph view(*topo);
-      cp = find_certified_partition(*topo, view, topo->default_fault_bound(),
-                                    rule, true);
-    } else {
-      cp = find_certified_partition(*topo, graph, topo->default_fault_bound(),
-                                    rule, true);
-    }
-    std::cout << "  partition:      " << cp.plan->description() << "\n";
-  } catch (const DiagnosisUnsupportedError& e) {
-    std::cout << "  partition:      UNSUPPORTED\n" << e.what();
+  if (cal) {
+    std::cout << "  partition:      " << cal->partition.plan->description()
+              << "\n";
+  } else {
+    std::cout << "  partition:      UNSUPPORTED\n" << unsupported;
+    if (!unsupported.ends_with('\n')) std::cout << '\n';
   }
   return 0;
 }

@@ -9,7 +9,8 @@
 # traced run per workload); the paper record (bench_paper, whose
 # BENCH_paper.json is re-checked here); a Release build with its own ctest
 # run; an ASan+UBSan pass over every ctest case plus a 200-case fuzz smoke;
-# a TSan pass over the threaded suites; and fuzz smokes: 200 deterministic
+# a TSan pass over the threaded suites; the suites built against the
+# bundled minigtest fallback; and fuzz smokes: 200 deterministic
 # differential cases of the §5 driver against the exact solver, then 60 per
 # diagnosis model. A fuzz divergence exits non-zero and leaves minimized
 # repro files in build/fuzz-repros/ (uploaded as a CI artifact; check the
@@ -156,6 +157,14 @@ for suite in batch_test engine_test churn_test util_test; do
   "./build-tsan/tests/$suite"
 done
 echo "tsan: batch, engine, churn and util suites race-free"
+
+# Bundled-GoogleTest pass: cmake/GetGTest.cmake falls back to the vendored
+# minigtest when no system GoogleTest is installed, so every suite is built
+# and run against it too.
+cmake -B build-minigtest -S . -DMMDIAG_FORCE_BUNDLED_GTEST=ON \
+  -DMMDIAG_BUILD_BENCH=OFF -DMMDIAG_BUILD_EXAMPLES=OFF "$@"
+cmake --build build-minigtest -j "$jobs"
+(cd build-minigtest && ctest --output-on-failure -j "$jobs")
 cd build
 
 if [ -x examples/mmdiag_cli ]; then

@@ -22,8 +22,7 @@ void set_bit(std::vector<std::uint64_t>& bits, Node v) noexcept {
 /// Theorem 1 on the live subgraph: nodes outside `members` that still have a
 /// usable edge into it. Removed nodes and dead edges are excluded — a
 /// removed node is not a fault, it is simply absent.
-template <class GV>
-std::vector<Node> live_boundary(const GV& g, const TopologyOverlay& overlay,
+std::vector<Node> live_boundary(const Graph& g, const TopologyOverlay& overlay,
                                 const std::vector<std::uint64_t>& members) {
   std::vector<Node> boundary;
   const std::size_t n = overlay.num_nodes();
@@ -31,7 +30,7 @@ std::vector<Node> live_boundary(const GV& g, const TopologyOverlay& overlay,
     if (overlay.node_removed(v)) continue;
     if (get_bit(members, v)) continue;
     const std::uint64_t dead = overlay.dead_mask(v);
-    const unsigned deg = static_cast<unsigned>(g.degree(v));
+    const unsigned deg = g.degree(v);
     for (unsigned p = 0; p < deg; ++p) {
       if ((dead >> p) & 1) continue;
       if (get_bit(members, g.neighbor(v, p))) {
@@ -72,21 +71,13 @@ ChurnEngine::ChurnEngine(DiagnosisEngine& engine, const std::string& spec,
     : engine_(&engine),
       cal_(engine.calibration(spec, options.delta, options.rule,
                               /*validate_all=*/true)),
+      graph_(csr_graph(cal_)),
       plan_(cal_->partition.plan.get()),
       delta_(cal_->delta()),
-      overlay_(cal_->is_implicit() ? TopologyOverlay(*cal_->implicit_view)
-                                   : TopologyOverlay(cal_->graph)),
-      recert_(cal_->is_implicit()
-                  ? ChurnRecertifier(*cal_->implicit_view, cal_->partition.plan,
-                                     delta_, cal_->rule())
-                  : ChurnRecertifier(cal_->graph, cal_->partition.plan, delta_,
-                                     cal_->rule())),
-      probe_builder_(cal_->is_implicit()
-                         ? SetBuilder(*cal_->implicit_view, cal_->rule())
-                         : SetBuilder(cal_->graph, cal_->rule())),
-      final_builder_(cal_->is_implicit()
-                         ? SetBuilder(*cal_->implicit_view, options.final_rule)
-                         : SetBuilder(cal_->graph, options.final_rule)) {
+      overlay_(*graph_),
+      recert_(*graph_, cal_->partition.plan, delta_, cal_->rule()),
+      probe_builder_(*graph_, cal_->rule()),
+      final_builder_(*graph_, options.final_rule) {
   // The pristine overlay replays the calibration runs verbatim, so every
   // component starts certified.
   cert_ = recert_.recertify_all(overlay_);
@@ -129,26 +120,9 @@ std::uint64_t ChurnEngine::components_recertified() const {
   return components_recertified_;
 }
 
-ChurnDiagnosis ChurnEngine::to_diagnosis(const SolveOutput& out) {
-  ChurnDiagnosis d;
-  d.success = out.success;
-  d.faults = out.faults;
-  d.failure_reason = out.failure_reason;
-  d.components = out.components;
-  d.runs = out.runs;
-  d.spent_lookups = out.spent_lookups;
-  return d;
-}
-
 void ChurnEngine::require_shape(const SyndromeOracle& oracle) const {
-  if (cal_->is_implicit()) {
-    const ImplicitGraph& g = *cal_->implicit_view;
-    require_oracle_shape("ChurnEngine", oracle, g.num_nodes(), g.min_degree(),
-                         g.max_degree());
-  } else {
-    require_oracle_shape("ChurnEngine", oracle, cal_->graph.num_nodes(),
-                         cal_->graph.min_degree(), cal_->graph.max_degree());
-  }
+  require_oracle_shape("ChurnEngine", oracle, graph_->num_nodes(),
+                       graph_->min_degree(), graph_->max_degree());
 }
 
 ChurnDiagnosis ChurnEngine::diagnose(const SyndromeOracle& oracle) {
@@ -156,24 +130,13 @@ ChurnDiagnosis ChurnEngine::diagnose(const SyndromeOracle& oracle) {
   const std::lock_guard<std::mutex> lock(mu_);
   cache_ = full_solve(oracle, cert_);
   cache_valid_ = true;
-  ChurnDiagnosis d = to_diagnosis(cache_);
-  for (const ComponentDiagnosis& cd : cache_.components) {
-    if (cd.probed) ++d.components_reprobed;
-  }
-  return d;
+  return cache_.diagnosis;
 }
 
 ChurnDiagnosis ChurnEngine::diagnose_cold(const SyndromeOracle& oracle) {
   require_shape(oracle);
   const std::lock_guard<std::mutex> lock(mu_);
-  const std::vector<ComponentChurnState> cold_cert =
-      recert_.recertify_all(overlay_);
-  const SolveOutput out = full_solve(oracle, cold_cert);
-  ChurnDiagnosis d = to_diagnosis(out);
-  for (const ComponentDiagnosis& cd : out.components) {
-    if (cd.probed) ++d.components_reprobed;
-  }
-  return d;
+  return full_solve(oracle, recert_.recertify_all(overlay_)).diagnosis;
 }
 
 ChurnDiagnosis ChurnEngine::diagnose_delta(
@@ -191,11 +154,8 @@ ChurnDiagnosis ChurnEngine::diagnose_delta(
   auto solve_fresh = [&](std::uint64_t wasted_lookups) {
     cache_ = full_solve(oracle, cert_);
     cache_valid_ = true;
-    ChurnDiagnosis d = to_diagnosis(cache_);
+    ChurnDiagnosis d = cache_.diagnosis;
     d.spent_lookups += wasted_lookups;
-    for (const ComponentDiagnosis& cd : cache_.components) {
-      if (cd.probed) ++d.components_reprobed;
-    }
     return d;
   };
   if (!cache_valid_) return solve_fresh(0);
@@ -218,7 +178,7 @@ ChurnDiagnosis ChurnEngine::diagnose_delta(
   std::uint64_t spent = 0;
   std::size_t reprobed = 0;
   for (const std::uint32_t c : reprobe) {
-    const ComponentDiagnosis& cached = cache_.components[c];
+    const ComponentDiagnosis& cached = cache_.diagnosis.components[c];
     if (!cached.probed) continue;  // skip decision depends only on runs/cert
     masked.reset_lookups();
     const SetBuilderResult probe = probe_builder_.run_restricted(
@@ -233,14 +193,13 @@ ChurnDiagnosis ChurnEngine::diagnose_delta(
     }
   }
 
-  ChurnDiagnosis d = to_diagnosis(cache_);
+  ChurnDiagnosis d = cache_.diagnosis;
   d.spent_lookups = spent;
+  // The cached solve's reprobe count is every probe it ran; the ones not
+  // re-run here were served from the cache.
+  d.components_reused = d.components_reprobed - reprobed;
   d.components_reprobed = reprobed;
   d.reused_cache = true;
-  for (const ComponentDiagnosis& cd : cache_.components) {
-    if (cd.probed) ++d.components_reused;
-  }
-  d.components_reused -= reprobed;
   return d;
 }
 
@@ -250,9 +209,10 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
   const std::size_t n = overlay_.num_nodes();
   const std::size_t words = (n + 63) / 64;
   const std::uint32_t num_comps = recert_.num_components();
-  SolveOutput out;
+  SolveOutput solve;
+  ChurnDiagnosis& out = solve.diagnosis;
   out.components.resize(num_comps);
-  out.run_members.assign(words, 0);
+  solve.run_members.assign(words, 0);
   std::vector<std::uint64_t> fault_bits(words, 0);
   std::size_t fault_count = 0;
   const OverlayOracle masked(overlay_, oracle);
@@ -269,7 +229,7 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
     bool unclassified = false;
     for (const Node m : recert_.component_members(c)) {
       if (overlay_.node_removed(m)) continue;
-      if (!get_bit(out.run_members, m) && !get_bit(fault_bits, m)) {
+      if (!get_bit(solve.run_members, m) && !get_bit(fault_bits, m)) {
         unclassified = true;
         break;
       }
@@ -285,6 +245,7 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
     cd.probe_healthy = probe.all_healthy;
     cd.probe_lookups = masked.lookups();
     out.spent_lookups += cd.probe_lookups;
+    ++out.components_reprobed;
     if (!cd.probe_healthy) continue;
 
     // A healthy probe certifies the seed healthy (§5): drive one
@@ -301,17 +262,13 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
                                    run.rounds});
     std::vector<std::uint64_t> local(words, 0);
     for (const Node m : run.members) set_bit(local, m);
-    const std::vector<Node> boundary =
-        cal_->is_implicit()
-            ? live_boundary(*cal_->implicit_view, overlay_, local)
-            : live_boundary(cal_->graph, overlay_, local);
-    for (const Node v : boundary) {
+    for (const Node v : live_boundary(*graph_, overlay_, local)) {
       if (!get_bit(fault_bits, v)) {
         set_bit(fault_bits, v);
         ++fault_count;
       }
     }
-    for (std::size_t w = 0; w < words; ++w) out.run_members[w] |= local[w];
+    for (std::size_t w = 0; w < words; ++w) solve.run_members[w] |= local[w];
     if (fault_count > delta_) overflow = true;
   }
 
@@ -327,7 +284,7 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
       cd.faults.clear();
       cd.detail = "fault bound exceeded; no per-component answer";
     }
-    return out;
+    return solve;
   }
 
   for (Node v = 0; v < n; ++v) {
@@ -347,7 +304,7 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
       if (get_bit(fault_bits, m)) {
         cd.faults.push_back(m);
         ++classified;
-      } else if (get_bit(out.run_members, m)) {
+      } else if (get_bit(solve.run_members, m)) {
         ++classified;
       }
     }
@@ -404,7 +361,7 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
   } else {
     out.success = all_ok;
   }
-  return out;
+  return solve;
 }
 
 }  // namespace mmdiag

@@ -157,6 +157,9 @@ class ChurnEngine {
   [[nodiscard]] const Calibration& calibration() const noexcept {
     return *cal_;
   }
+  /// The CSR graph every churn structure reads: the calibration's own, or
+  /// one built for an implicit calibration (csr_graph).
+  [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
   [[nodiscard]] std::uint32_t num_components() const noexcept {
     return recert_.num_components();
   }
@@ -168,23 +171,18 @@ class ChurnEngine {
 
  private:
   struct SolveOutput {
-    bool success = false;
-    std::vector<Node> faults;
-    std::string failure_reason;
-    std::vector<ComponentDiagnosis> components;
-    std::vector<SolveRecord> runs;
-    std::uint64_t spent_lookups = 0;
+    ChurnDiagnosis diagnosis;
     std::vector<std::uint64_t> run_members;  // union bitset over all runs
   };
 
   [[nodiscard]] SolveOutput full_solve(
       const SyndromeOracle& oracle,
       const std::vector<ComponentChurnState>& cert);
-  [[nodiscard]] static ChurnDiagnosis to_diagnosis(const SolveOutput& out);
   void require_shape(const SyndromeOracle& oracle) const;
 
   DiagnosisEngine* engine_;
   std::shared_ptr<const Calibration> cal_;
+  std::shared_ptr<const Graph> graph_;
   const PartitionPlan* plan_;
   unsigned delta_;
   TopologyOverlay overlay_;

@@ -174,29 +174,16 @@ ChurnStream generate_churn_stream(DiagnosisEngine& engine,
                                   const ChurnStreamConfig& config) {
   const std::shared_ptr<const Calibration> cal =
       engine.calibration(config.spec, config.delta, ParentRule::kSpread);
-  const bool implicit = cal->is_implicit();
-  const std::size_t n = implicit ? cal->implicit_view->num_nodes()
-                                 : cal->graph.num_nodes();
+  const std::shared_ptr<const Graph> graph = csr_graph(cal);
+  const std::size_t n = graph->num_nodes();
   const unsigned bound = cal->delta();
-  auto deg = [&](Node u) -> unsigned {
-    return implicit ? static_cast<unsigned>(cal->implicit_view->degree(u))
-                    : static_cast<unsigned>(cal->graph.degree(u));
-  };
-  auto nbr = [&](Node u, unsigned p) -> Node {
-    return implicit ? cal->implicit_view->neighbor(u, p)
-                    : cal->graph.neighbor(u, p);
-  };
 
   // Shadow state: every emitted (non-error) event is applied here so later
   // events stay legal against the evolving topology.
-  TopologyOverlay shadow = implicit ? TopologyOverlay(*cal->implicit_view)
-                                    : TopologyOverlay(cal->graph);
-  const ChurnRecertifier members(
-      // Only the member index is used; rule is irrelevant here.
-      implicit ? ChurnRecertifier(*cal->implicit_view, cal->partition.plan,
-                                  bound, cal->rule())
-               : ChurnRecertifier(cal->graph, cal->partition.plan, bound,
-                                  cal->rule()));
+  TopologyOverlay shadow(*graph);
+  // Only the member index is used; rule is irrelevant here.
+  const ChurnRecertifier members(*graph, cal->partition.plan, bound,
+                                 cal->rule());
   std::vector<std::pair<Node, Node>> removed_edges;
   std::vector<Node> removed_nodes;
 
@@ -284,8 +271,8 @@ ChurnStream generate_churn_stream(DiagnosisEngine& engine,
         // never-removed edge — all must be rejected without state change.
         emit_topology({ChurnOp::kRepairNode, u, 0}, true);
         emit_topology({ChurnOp::kRemoveNode, static_cast<Node>(n), 0}, true);
-        if (deg(u) > 0) {
-          const Node v = nbr(u, rng.below(deg(u)));
+        if (graph->degree(u) > 0) {
+          const Node v = graph->neighbor(u, rng.below(graph->degree(u)));
           if (!shadow.edge_removed(u, v)) {
             emit_topology({ChurnOp::kRepairEdge, u, v}, true);
           }
@@ -329,8 +316,8 @@ ChurnStream generate_churn_stream(DiagnosisEngine& engine,
       }
     } else if (roll < 50) {
       const Node u = pick_live();
-      if (u != kNoNode && deg(u) > 0) {
-        const Node v = nbr(u, rng.below(deg(u)));
+      if (u != kNoNode && graph->degree(u) > 0) {
+        const Node v = graph->neighbor(u, rng.below(graph->degree(u)));
         if (!shadow.edge_removed(u, v)) {
           emit_topology({ChurnOp::kRemoveEdge, u, v}, false);
           removed_edges.emplace_back(u, v);

@@ -55,12 +55,8 @@ ChurnHarnessReport run_churn_stream(DiagnosisEngine& engine,
   ChurnEngineOptions churn_options;
   churn_options.delta = stream.delta;
   ChurnEngine churn(engine, stream.spec, churn_options);
-  const Calibration& cal = churn.calibration();
-  if (options.use_table_oracle && cal.is_implicit()) {
-    throw std::invalid_argument(
-        "churn harness: table oracles need a CSR calibration");
-  }
-  const std::size_t n = churn.overlay().num_nodes();
+  const Graph& graph = churn.graph();
+  const std::size_t n = graph.num_nodes();
   // One fixed behavior seed for the whole stream: syndrome rows then depend
   // only on fault membership, so diagnose-delta's changed-row set is exactly
   // (F_prev Δ F_new) plus its neighbourhood.
@@ -75,14 +71,7 @@ ChurnHarnessReport run_churn_stream(DiagnosisEngine& engine,
                                   std::back_inserter(delta_nodes));
     std::vector<Node> changed = delta_nodes;
     for (const Node u : delta_nodes) {
-      if (cal.is_implicit()) {
-        const auto neighbors = cal.implicit_view->neighbors(u);
-        for (std::size_t p = 0; p < neighbors.size(); ++p) {
-          changed.push_back(neighbors[p]);
-        }
-      } else {
-        for (const Node w : cal.graph.neighbors(u)) changed.push_back(w);
-      }
+      for (const Node w : graph.neighbors(u)) changed.push_back(w);
     }
     std::sort(changed.begin(), changed.end());
     changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
@@ -159,13 +148,10 @@ ChurnHarnessReport run_churn_stream(DiagnosisEngine& engine,
         std::unique_ptr<SyndromeOracle> oracle;
         if (options.use_table_oracle) {
           table = std::make_unique<Syndrome>(generate_syndrome(
-              cal.graph, faults, options.behavior, behavior_seed));
-          oracle = std::make_unique<TableOracle>(cal.graph, *table);
-        } else if (cal.is_implicit()) {
-          oracle = std::make_unique<ImplicitLazyOracle>(
-              *cal.implicit_view, faults, options.behavior, behavior_seed);
+              graph, faults, options.behavior, behavior_seed));
+          oracle = std::make_unique<TableOracle>(graph, *table);
         } else {
-          oracle = std::make_unique<LazyOracle>(cal.graph, faults,
+          oracle = std::make_unique<LazyOracle>(graph, faults,
                                                 options.behavior,
                                                 behavior_seed);
         }

@@ -10,6 +10,11 @@
 // becomes a divergence string; the report doubles as the accounting source
 // for the warm-vs-cold work ratio (components recertified incrementally vs
 // what cold recalibration would have recertified).
+//
+// The replay reads the ChurnEngine's CSR graph for its oracles and changed
+// rows, so both oracle kinds serve every calibration: on a hypercube the
+// engine calibrated on the implicit view (2^17 nodes or more) that graph is
+// built for the churn engine (18 MiB at Q17, 168 MiB at Q20).
 #pragma once
 
 #include <cstdint>
@@ -23,8 +28,7 @@
 namespace mmdiag {
 
 struct ChurnHarnessOptions {
-  /// Materialise a syndrome table per diagnose event (CSR calibrations
-  /// only; throws std::invalid_argument on implicit ones) instead of the
+  /// Materialise a syndrome table per diagnose event instead of the
   /// default on-demand LazyOracle.
   bool use_table_oracle = false;
   FaultyBehavior behavior = FaultyBehavior::kRandom;

@@ -24,21 +24,10 @@ ChurnRecertifier::ChurnRecertifier(const Graph& graph,
                                    unsigned delta, ParentRule rule)
     : builder_(graph, rule), plan_(std::move(plan)), delta_(delta) {
   num_components_ = plan_->num_components();
-  build_member_index(graph.num_nodes());
-}
-
-ChurnRecertifier::ChurnRecertifier(const ImplicitGraph& graph,
-                                   std::shared_ptr<const PartitionPlan> plan,
-                                   unsigned delta, ParentRule rule)
-    : builder_(graph, rule), plan_(std::move(plan)), delta_(delta) {
-  num_components_ = plan_->num_components();
-  build_member_index(graph.num_nodes());
-}
-
-void ChurnRecertifier::build_member_index(std::size_t num_nodes) {
   // Counting sort by component over ascending node ids, so each component's
   // member list comes out sorted — the first entry that is live is the
   // deterministic recertification seed.
+  const std::size_t num_nodes = graph.num_nodes();
   std::vector<std::size_t> counts(num_components_ + 1, 0);
   for (Node u = 0; u < num_nodes; ++u) {
     ++counts[plan_->component_of(u) + 1];

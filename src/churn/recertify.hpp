@@ -61,9 +61,6 @@ class ChurnRecertifier {
   ChurnRecertifier(const Graph& graph,
                    std::shared_ptr<const PartitionPlan> plan, unsigned delta,
                    ParentRule rule);
-  ChurnRecertifier(const ImplicitGraph& graph,
-                   std::shared_ptr<const PartitionPlan> plan, unsigned delta,
-                   ParentRule rule);
 
   [[nodiscard]] std::uint32_t num_components() const noexcept {
     return num_components_;
@@ -93,8 +90,6 @@ class ChurnRecertifier {
       const ChurnDelta& delta) const;
 
  private:
-  void build_member_index(std::size_t num_nodes);
-
   SetBuilder builder_;
   std::shared_ptr<const PartitionPlan> plan_;
   unsigned delta_ = 0;

@@ -1,17 +1,23 @@
-// TopologyOverlay — node/edge remove+repair deltas over an immutable view.
+// TopologyOverlay — node/edge remove+repair deltas over an immutable graph.
 //
 // Real deployments degrade continuously: nodes are pulled for repair, links
-// fail, both come back. Rebuilding the CSR (or re-deriving the implicit
-// adjacency) on every change would renumber adjacency positions — and
-// syndrome bits are addressed by (node, position), so every stored syndrome
-// and every calibrated partition would be invalidated. The overlay therefore
-// never rebuilds anything: the base Graph/ImplicitGraph stays frozen (all
-// positions stable) and churn is a mask on top of it — a removed-node bitset
-// plus a per-node 64-bit dead-edge mask (bit p set = the edge to the p-th
-// base neighbour is unusable, because that neighbour is removed or the edge
-// itself was). OverlayOracle turns the mask into syndrome semantics: any
-// test involving a dead element reads as 1 (fail), so removed nodes are
-// never admitted by Set_Builder and the solver hot paths need no changes.
+// fail, both come back. Rebuilding the CSR on every change would renumber
+// adjacency positions — and syndrome bits are addressed by (node,
+// position), so every stored syndrome and every calibrated partition would
+// be invalidated. The overlay therefore never rebuilds anything: the base
+// CSR Graph stays frozen (all positions stable) and churn is a mask on top
+// of it — a removed-node bitset plus a per-node 64-bit dead-edge mask (bit
+// p set = the edge to the p-th base neighbour is unusable, because that
+// neighbour is removed or the edge itself was). OverlayOracle turns the
+// mask into syndrome semantics: any test involving a dead element reads as
+// 1 (fail), so removed nodes are never admitted by Set_Builder and the
+// solver hot paths need no changes.
+//
+// Churn runs on CSR at every size: a ChurnEngine over a hypercube the
+// engine calibrated on the implicit view (2^17 nodes or more) builds that
+// hypercube's CSR for itself (csr_graph in engine/calibration.hpp), 18 MiB
+// at Q17 and 168 MiB at Q20. The positions are the same on both views, so
+// the answers are too.
 //
 // Every mutation validates (std::invalid_argument) and is applied with the
 // strong guarantee: a rejected delta leaves the overlay untouched.
@@ -27,7 +33,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/implicit_graph.hpp"
 #include "util/types.hpp"
 
 namespace mmdiag {
@@ -51,10 +56,9 @@ struct ChurnDelta {
 class TopologyOverlay {
  public:
   /// The overlay packs each node's dead-edge state into one word, so the
-  /// base view must have degree <= 64 (the same bound the word-row solver
-  /// paths and the implicit view already live under).
+  /// base graph must have degree <= 64 (the same bound the word-row solver
+  /// paths already live under). `base` must outlive the overlay.
   explicit TopologyOverlay(const Graph& base);
-  explicit TopologyOverlay(const ImplicitGraph& base);
 
   /// Dispatch to the matching mutation below.
   void apply(const ChurnDelta& delta);
@@ -118,13 +122,8 @@ class TopologyOverlay {
   void check_node(Node u, const char* what) const;
   /// Position of v in u's base adjacency, throwing when not adjacent.
   [[nodiscard]] unsigned edge_position(Node u, Node v, const char* what) const;
-  /// Position of u in adj(v), where v is u's neighbour at position p.
-  [[nodiscard]] unsigned mirror_of(Node u, unsigned p, Node v) const;
-  [[nodiscard]] unsigned degree_of(Node u) const;
-  [[nodiscard]] Node neighbor_of(Node u, unsigned p) const;
 
-  const Graph* csr_ = nullptr;  // exactly one of csr_ / implicit_ is set
-  const ImplicitGraph* implicit_ = nullptr;
+  const Graph* base_ = nullptr;
   std::size_t num_nodes_ = 0;
   std::uint64_t removed_count_ = 0;
   bool ever_churned_ = false;

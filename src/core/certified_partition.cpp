@@ -80,13 +80,6 @@ bool component_certifies(const Graph& graph, const PartitionPlan& plan,
   return probe_component(builder, oracle, plan, comp, delta);
 }
 
-bool component_certifies(const ImplicitGraph& graph, const PartitionPlan& plan,
-                         std::uint32_t comp, unsigned delta, ParentRule rule) {
-  SetBuilder builder(graph, rule);
-  const FaultFreeOracle oracle;
-  return probe_component(builder, oracle, plan, comp, delta);
-}
-
 CertifiedPartition find_certified_partition(const Topology& topology,
                                             const Graph& graph, unsigned delta,
                                             ParentRule rule,

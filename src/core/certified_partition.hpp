@@ -64,9 +64,5 @@ struct CertifiedPartition {
                                        const PartitionPlan& plan,
                                        std::uint32_t comp, unsigned delta,
                                        ParentRule rule);
-[[nodiscard]] bool component_certifies(const ImplicitGraph& graph,
-                                       const PartitionPlan& plan,
-                                       std::uint32_t comp, unsigned delta,
-                                       ParentRule rule);
 
 }  // namespace mmdiag

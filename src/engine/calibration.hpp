@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/certified_partition.hpp"
 #include "graph/graph.hpp"
@@ -21,13 +22,13 @@
 
 namespace mmdiag {
 
-// GraphMode (and its name helpers) lives in util/enum_names.hpp. Only the
-// hypercube has an implicit view (graph/implicit_graph.hpp). kAuto picks it
-// for hypercubes at or above kImplicitAutoNodeThreshold nodes, where its
-// closed form solves faster than the CSR arrays and needs none of their
-// memory, and kCsr for every other instance, which keeps small hypercubes
-// on the path that also serves materialised-syndrome (TableOracle)
-// requests. kImplicit on any other family fails in build_calibration.
+// GraphMode lives in util/enum_names.hpp. Only the hypercube has an
+// implicit view (graph/implicit_graph.hpp). kAuto picks it for hypercubes
+// at or above kImplicitAutoNodeThreshold nodes, where its closed form
+// solves faster than the CSR arrays and needs none of their memory, and
+// kCsr for every other instance, which keeps small hypercubes on the path
+// that also serves materialised-syndrome (TableOracle) requests. kImplicit
+// on any other family fails in build_calibration.
 
 inline constexpr std::uint64_t kImplicitAutoNodeThreshold = std::uint64_t{1}
                                                             << 17;
@@ -77,6 +78,17 @@ struct Calibration {
     std::shared_ptr<const Calibration> calibration) {
   const Graph* graph = &calibration->graph;
   return std::shared_ptr<const Graph>(std::move(calibration), graph);
+}
+
+/// The CSR graph of any bundle, for adjacency consumers outside the MM*
+/// solve stack (the churn engine and its stream generator): the bundle's
+/// own graph through graph_handle, or for an implicit bundle one built by
+/// Topology::build_graph, which refuses a graph that cannot fit before
+/// allocating (std::length_error).
+[[nodiscard]] inline std::shared_ptr<const Graph> csr_graph(
+    std::shared_ptr<const Calibration> calibration) {
+  if (!calibration->is_implicit()) return graph_handle(std::move(calibration));
+  return std::make_shared<const Graph>(calibration->topology->build_graph());
 }
 
 /// The implicit-view counterpart of graph_handle. The view holds nothing but

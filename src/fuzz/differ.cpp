@@ -308,6 +308,10 @@ EngineOptions FuzzContext::engine_options() {
   // replays; fuzzing is sequential, so one serve lane suffices.
   options.cache_capacity = 64;
   options.threads = 1;
+  // Every MM* voice draws its faults and oracles over FuzzSetup::graph(),
+  // so every bundle materialises its CSR, hypercubes of 2^17 nodes or more
+  // included; the seq-spread-implicit voice builds its own view.
+  options.graph_mode = GraphMode::kCsr;
   return options;
 }
 

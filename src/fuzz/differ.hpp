@@ -43,9 +43,10 @@ namespace mmdiag {
 
 /// Per-(spec, delta) setup shared by every case on that instance: two
 /// calibration handles from the context's DiagnosisEngine, one per probe
-/// parent rule the differ exercises. Each bundle owns its own graph build;
-/// both builds are the same deterministic adjacency, so faults and oracles
-/// drawn over graph() address either one.
+/// parent rule the differ exercises. The engine calibrates on kCsr, so each
+/// bundle owns its own graph build at every size; both builds are the same
+/// deterministic adjacency, so faults and oracles drawn over graph()
+/// address either one.
 struct FuzzSetup {
   std::shared_ptr<const Calibration> spread;  // ParentRule::kSpread
   /// Calibrated under kLeastFirst; null when that rule cannot certify the

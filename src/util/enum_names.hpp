@@ -3,10 +3,12 @@
 // ParentRule, GraphMode and DiagnosisModel each used to carry (or were about
 // to grow) their own to_string/from_string pair, and the CLI, the repro
 // format and the differ configs each re-spelled the names. One header now
-// owns the enums and their canonical spellings; every consumer — CLI flags,
-// .repro provenance lines, syndrome-file headers, differ config labels —
-// goes through these functions, so a new enumerator is added in exactly one
-// place.
+// owns the enums and the canonical spellings of ParentRule and
+// DiagnosisModel; every consumer — CLI flags, .repro provenance lines,
+// syndrome-file headers, differ config labels — goes through these
+// functions, so a new enumerator is added in exactly one place. GraphMode
+// is set only in code (EngineOptions, build_calibration), so it has no
+// names.
 //
 // from_string parsers canonicalise '_' to '-' (so "least_first" and
 // "least-first" both parse) and throw std::invalid_argument naming the
@@ -44,9 +46,6 @@ inline constexpr ParentRule kAllParentRules[] = {
 // ---------------------------------------------------------------------------
 
 enum class GraphMode : std::uint8_t { kAuto, kCsr, kImplicit };
-
-inline constexpr GraphMode kAllGraphModes[] = {GraphMode::kAuto, GraphMode::kCsr,
-                                               GraphMode::kImplicit};
 
 // ---------------------------------------------------------------------------
 // DiagnosisModel — the test semantics a syndrome was produced under.
@@ -115,33 +114,6 @@ inline std::string canonical_enum_name(const std::string& name) {
   throw std::invalid_argument("unknown parent rule '" + name +
                               "' (expected least-first, spread, least-sync, "
                               "or hash-spread)");
-}
-
-[[nodiscard]] inline std::string to_string(GraphMode mode) {
-  switch (mode) {
-    case GraphMode::kAuto:
-      return "auto";
-    case GraphMode::kCsr:
-      return "csr";
-    case GraphMode::kImplicit:
-      return "implicit";
-  }
-  return "?";
-}
-
-[[nodiscard]] inline std::string graph_mode_to_string(GraphMode mode) {
-  return to_string(mode);
-}
-
-/// Inverse of graph_mode_to_string; throws std::invalid_argument on unknown
-/// names (the CLI's --graph-mode flag reports it as a usage error).
-[[nodiscard]] inline GraphMode graph_mode_from_string(const std::string& name) {
-  const std::string canon = detail::canonical_enum_name(name);
-  for (const GraphMode mode : kAllGraphModes) {
-    if (canon == to_string(mode)) return mode;
-  }
-  throw std::invalid_argument("unknown graph mode '" + name +
-                              "' (expected auto, csr, or implicit)");
 }
 
 [[nodiscard]] inline std::string to_string(DiagnosisModel model) {

@@ -673,6 +673,74 @@ TEST(ChurnEngine, EveryEntryRejectsAnOracleOverAnotherGraph) {
   }
 }
 
+TEST(ChurnEngine, ImplicitCalibrationChurnsOnItsOwnCsr) {
+  // A kImplicit engine calibrates hypercube 10 on the closed-form view; the
+  // ChurnEngine over it builds the CSR itself, so the harness replays a
+  // hostile stream clean with either oracle kind, and a ChurnEngine over a
+  // CSR calibration gives the same answers at the same cost.
+  EngineOptions implicit_options;
+  implicit_options.graph_mode = GraphMode::kImplicit;
+  DiagnosisEngine implicit_engine(implicit_options);
+  EngineOptions csr_options;
+  csr_options.graph_mode = GraphMode::kCsr;
+  DiagnosisEngine csr_engine(csr_options);
+
+  ChurnStreamConfig config;
+  config.spec = "hypercube 10";
+  config.seed = 11;
+  config.events = 24;
+  const ChurnStream stream = generate_churn_stream(implicit_engine, config);
+  for (const bool table : {false, true}) {
+    SCOPED_TRACE(table ? "table" : "lazy");
+    ChurnHarnessOptions options;
+    options.use_table_oracle = table;
+    const ChurnHarnessReport report =
+        run_churn_stream(implicit_engine, stream, options);
+    EXPECT_TRUE(report.ok()) << report.divergences.front();
+    EXPECT_GT(report.diagnose_events + report.delta_events, 0u);
+    EXPECT_GT(report.expected_errors, 0u);
+  }
+
+  ChurnEngine on_implicit(implicit_engine, "hypercube 10");
+  ChurnEngine on_csr(csr_engine, "hypercube 10");
+  ASSERT_TRUE(on_implicit.calibration().is_implicit());
+  ASSERT_FALSE(on_csr.calibration().is_implicit());
+  const Graph& graph = on_csr.graph();
+  ASSERT_EQ(on_implicit.graph().num_nodes(), graph.num_nodes());
+  const FaultSet before(graph.num_nodes(), {3, 77, 500});
+  const FaultSet after(graph.num_nodes(), {3, 77, 501});
+  const LazyOracle first(graph, before, FaultyBehavior::kRandom, 5);
+  const LazyOracle second(graph, after, FaultyBehavior::kRandom, 5);
+  std::vector<Node> changed = {500, 501};
+  for (const Node u : {Node{500}, Node{501}}) {
+    for (const Node w : graph.neighbors(u)) changed.push_back(w);
+  }
+
+  const auto expect_same = [](const ChurnDiagnosis& a,
+                              const ChurnDiagnosis& b) {
+    EXPECT_TRUE(identical(a, b));
+    EXPECT_EQ(a.spent_lookups, b.spent_lookups);
+    EXPECT_EQ(a.reused_cache, b.reused_cache);
+  };
+  for (ChurnEngine* churn : {&on_implicit, &on_csr}) {
+    churn->apply({ChurnOp::kRemoveNode, 40, 0});
+    churn->apply({ChurnOp::kRemoveEdge, 100, 101});
+  }
+  expect_same(on_implicit.diagnose(first), on_csr.diagnose(first));
+  expect_same(on_implicit.diagnose_delta(second, changed),
+              on_csr.diagnose_delta(second, changed));
+  expect_same(on_implicit.diagnose_delta(second, {}),
+              on_csr.diagnose_delta(second, {}));
+  for (ChurnEngine* churn : {&on_implicit, &on_csr}) {
+    churn->apply({ChurnOp::kRepairNode, 40, 0});
+  }
+  const ChurnDiagnosis healed = on_implicit.diagnose(second);
+  EXPECT_TRUE(healed.success) << healed.failure_reason;
+  EXPECT_EQ(healed.faults, (std::vector<Node>{3, 77, 501}));
+  expect_same(healed, on_csr.diagnose(second));
+  EXPECT_TRUE(on_implicit.certification() == on_csr.certification());
+}
+
 TEST(ChurnEngine, RetireCalibrationEvictsExplicitlyAndKeepsServing) {
   const FamilyCase family = kChurnFamilies[0];
   DiagnosisEngine engine;

@@ -131,6 +131,14 @@ TEST(FuzzDifferential, OutOfRangeFaultIdIsRejected) {
   EXPECT_THROW((void)run_differential(ctx, c), std::invalid_argument);
 }
 
+TEST(FuzzDifferential, LargeHypercubeSetupsCarryTheirCsr) {
+  // Every MM* voice draws its faults and oracles over FuzzSetup::graph(),
+  // so a hypercube of 2^17 nodes, which a default engine calibrates on the
+  // implicit view, must still come with its CSR.
+  FuzzContext ctx;
+  EXPECT_EQ(ctx.setup("hypercube 17", 17).graph().num_nodes(), 1u << 17);
+}
+
 TEST(FuzzSabotage, DropFaultIsFoundMinimizedAndReplayable) {
   FuzzOptions options;
   options.cases = 200;

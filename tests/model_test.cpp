@@ -41,10 +41,7 @@ TEST(ModelNames, RoundTripAndShorthands) {
   EXPECT_TRUE(is_directed_model(DiagnosisModel::kBGM));
 }
 
-TEST(ModelNames, GraphModeAndRuleShareTheHeader) {
-  for (const GraphMode mode : kAllGraphModes) {
-    EXPECT_EQ(graph_mode_from_string(graph_mode_to_string(mode)), mode);
-  }
+TEST(ModelNames, ParentRuleNamesRoundTrip) {
   for (const ParentRule rule : kAllParentRules) {
     EXPECT_EQ(parent_rule_from_string(parent_rule_to_string(rule)), rule);
   }
