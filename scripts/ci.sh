@@ -8,11 +8,11 @@
 # that exist. After it come a perfbench answer-check smoke (one 2-second
 # traced run per workload); the paper record (bench_paper, whose
 # BENCH_paper.json is re-checked here); a Release build with its own ctest
-# run; an ASan+UBSan pass over every ctest case plus a 200-case fuzz smoke;
-# a TSan pass over the threaded suites; the suites built against the
-# bundled minigtest fallback; and fuzz smokes: 200 deterministic
-# differential cases of the §5 driver against the exact solver, then 60 per
-# diagnosis model. A fuzz divergence exits non-zero and leaves minimized
+# run; an ASan+UBSan pass, with assertions on, over every ctest case plus a
+# 200-case fuzz smoke; a TSan pass over the threaded suites; the suites
+# built against the bundled minigtest fallback; and fuzz smokes: 200
+# deterministic differential cases of the §5 driver against the exact
+# solver, then 60 per diagnosis model. A fuzz divergence exits non-zero and leaves minimized
 # repro files in build/fuzz-repros/ (uploaded as a CI artifact; check the
 # repro into tests/corpus/ once the bug is fixed).
 #
@@ -126,10 +126,15 @@ cmake --build build-release -j "$jobs"
 # replays and the CLI usage cases) and the 200-case fuzz smoke: an
 # out-of-bounds word read, a use-after-free across shared calibrations or a
 # shift past a word's width aborts the run instead of passing silently.
+# It is also the build that runs the assertions: RelWithDebInfo's flags are
+# reset to "-O2 -g", dropping NDEBUG, so the library's asserts (the §6
+# final-run bound on every solve among them) execute, and
+# _GLIBCXX_ASSERTIONS bounds-checks std::vector and std::span indexing.
 # Benches are left out: no ctest case runs them.
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS" \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DMMDIAG_BUILD_BENCH=OFF "$@"
 cmake --build build-asan -j "$jobs"
 (cd build-asan && ctest --output-on-failure -j "$jobs")
@@ -142,7 +147,7 @@ if [ -x build-asan/examples/mmdiag_cli ]; then
     exit 1
   fi
 fi
-echo "asan+ubsan: every ctest case and the fuzz smoke clean"
+echo "asan+ubsan (assertions on): every ctest case and the fuzz smoke clean"
 
 # TSan pass over the suites that run threads: serve() used as a batch
 # (batch_test), the engine's calibration cache and serve lanes, the churn

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <bit>
+#include <cassert>
+#include <span>
 #include <stdexcept>
 
 namespace mmdiag {
@@ -17,6 +19,17 @@ const ImplicitGraph& deref_implicit(
     const std::shared_ptr<const ImplicitGraph>& graph) {
   if (!graph) throw std::invalid_argument("Diagnoser: null graph");
   return *graph;
+}
+
+/// §6: a final run consults at most (Δ-1)(Δ/2 + |U_r| - 1) syndrome
+/// results, for any oracle and any fault count — round 1 at most C(Δ,2)
+/// pairs of the seed's neighbours, every later member at most Δ-1 against
+/// its parent. Asserted on every solve (DESIGN.md §3).
+[[maybe_unused]] bool within_final_bound(std::uint64_t lookups,
+                                         std::uint64_t max_degree,
+                                         std::uint64_t members) {
+  return lookups <= max_degree * (max_degree - 1) / 2 +
+                        (members - 1) * (max_degree - 1);
 }
 
 unsigned resolve_delta(const Topology& topology, const DiagnoserOptions& o) {
@@ -154,23 +167,34 @@ DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
   // Phase 2: unrestricted run from the certified seed. Every member is
   // healthy (the seed is, and health propagates down the 0-tests) — no
   // certificate is required, so the cheaper final rule applies.
+  [[maybe_unused]] const std::uint64_t before_final = oracle.lookups();
   const auto full = final_builder_.run(oracle, plan.seed_of(certified), delta_);
+  assert(within_final_bound(oracle.lookups() - before_final, g.max_degree(),
+                            full.members.size()));
   out.final_members = full.members.size();
   out.final_rounds = full.rounds;
 
   // Phase 3: N(U_r) is exactly F (Theorem 1). On the success path U_r is
-  // within δ of the whole graph, so scan the *complement*: one membership
-  // test per node finds the candidates, each checked for a member
-  // neighbour. Equivalent to walking every member's adjacency (same set,
-  // by definition of N), ~Δ× cheaper, and ascending by construction — no
-  // sort, no dedup scratch.
+  // within δ of the whole graph, so scan the *complement*, one membership
+  // word at a time: N/64 word reads find the clear bits (the last word's
+  // padding masked off), and only those ~|F| candidates are checked for a
+  // member neighbour. Equivalent to walking every member's adjacency (same
+  // set, by definition of N), ~Δ× cheaper, and ascending by construction —
+  // no sort, no dedup scratch.
+  const std::span<const std::uint64_t> in_set = final_builder_.last_set_words();
   const std::size_t num_nodes = g.num_nodes();
-  for (Node v = 0; v < num_nodes; ++v) {
-    if (final_builder_.in_last_set(v)) continue;
-    for (const Node w : g.neighbors(v)) {
-      if (final_builder_.in_last_set(w)) {
-        out.faults.push_back(v);
-        break;
+  for (std::size_t w = 0; w < in_set.size(); ++w) {
+    std::uint64_t outside = ~in_set[w];
+    if ((w + 1) * 64 > num_nodes) {
+      outside &= (std::uint64_t{1} << (num_nodes & 63)) - 1;
+    }
+    for (; outside != 0; outside &= outside - 1) {
+      const auto v = static_cast<Node>((w << 6) + std::countr_zero(outside));
+      for (const Node x : g.neighbors(v)) {
+        if (final_builder_.in_last_set(x)) {
+          out.faults.push_back(v);
+          break;
+        }
       }
     }
   }
@@ -285,10 +309,20 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
     }
     remaining &= ~group;
 
+#ifndef NDEBUG
+    std::array<std::uint64_t, BitSlicedOracle::kMaxLanes> before_final{};
+    for (std::uint64_t m = group; m != 0; m &= m - 1) {
+      const unsigned L = static_cast<unsigned>(std::countr_zero(m));
+      before_final[L] = sliced.lane_lookups(L);
+    }
+#endif
     final_builder_.run_sliced(sliced, plan.seed_of(comp), delta_, group,
                               lane_run.data());
     for (std::uint64_t m = group; m != 0; m &= m - 1) {
       const unsigned L = static_cast<unsigned>(std::countr_zero(m));
+      assert(within_final_bound(sliced.lane_lookups(L) - before_final[L],
+                                graph_->max_degree(),
+                                lane_run[L].member_count));
       out[L].certified_component = comp;
       out[L].final_members = lane_run[L].member_count;
       out[L].final_rounds = lane_run[L].rounds;

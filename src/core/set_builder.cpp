@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <type_traits>
 
 namespace mmdiag {
 
@@ -58,6 +59,15 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
     if (prefix_plan != nullptr) return (v >> prefix_shift) == comp;
     return plan->component_of(v) == comp;
   };
+  // On the hypercube view a neighbour is a dimension. A prefix plan's
+  // component fixes every bit from prefix_shift up, so only the dimensions
+  // below it can lead to an eligible neighbour; any other plan is checked
+  // per candidate.
+  [[maybe_unused]] const unsigned free_dims =
+      prefix_plan != nullptr ? std::min(prefix_shift, g.max_degree())
+                             : g.max_degree();
+  [[maybe_unused]] const bool generic_plan =
+      plan != nullptr && prefix_plan == nullptr;
 
   // The same idiom picks the read path from the input: a materialised
   // table is read without virtual calls, and by whole packed rows where a
@@ -88,10 +98,8 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
 
   SetBuilderResult result;
   const std::size_t member_hint =
-      plan != nullptr
-          ? static_cast<std::size_t>(plan->component_size())
-          : std::max<std::size_t>(last_unrestricted_size_,
-                                  std::size_t{g.degree(u0)} + 1);
+      plan != nullptr ? static_cast<std::size_t>(plan->component_size())
+                      : g.num_nodes();
   result.members.reserve(member_hint);
   result.parent.reserve(member_hint);
   result.members.push_back(u0);
@@ -198,8 +206,6 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
             static_cast<Node>((w << 6) + std::countr_zero(bits));
         bits &= bits - 1;
         const unsigned parent_pos = parent_pos_of_[u];
-        const auto adj = g.neighbors(u);
-        const Node parent = adj[parent_pos];
 
         // Consult each eligible non-member neighbour against the parent
         // pivot. A table serves the whole pivot row as one read when the
@@ -211,11 +217,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
         std::uint64_t row = 0;
         bool have_row = false;
         bool contributed = false;
-        for (unsigned p = 0; p < adj.size(); ++p) {
-          const Node v = adj[p];
-          if (p == parent_pos || in_set_.contains(v) || !eligible(v)) {
-            continue;
-          }
+        auto consult = [&](unsigned p, Node v, Node parent) {
           bool one;
           if (deferred && word_rows) {
             if (!have_row) {
@@ -235,6 +237,43 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
             } else {
               zero_edges_.push_back(ZeroEdge{u, v, p});
             }
+          }
+        };
+        if constexpr (std::is_same_v<GV, ImplicitGraph>) {
+          // The non-members among u's neighbours come straight from
+          // in_set_'s words, and nothing is built when there are none (the
+          // parent is a member, so never a candidate). Candidates go in
+          // the view's ascending order — u's set bits by descending index,
+          // then its unset bits ascending — the order the CSR loop below
+          // walks, so admissions match it member for member.
+          const std::uint32_t cand =
+              g.clear_neighbor_dims(u, in_set_.words(), free_dims);
+          if (cand != 0) {
+            const Node parent = g.neighbor(u, parent_pos);
+            auto visit = [&](unsigned d) {
+              const Node v = u ^ (Node{1} << d);
+              if (generic_plan && !eligible(v)) return;
+              consult(static_cast<unsigned>(g.neighbor_position(u, v)), v,
+                      parent);
+            };
+            for (std::uint32_t m = cand & u; m != 0;) {
+              const auto d = static_cast<unsigned>(31 - std::countl_zero(m));
+              m ^= std::uint32_t{1} << d;
+              visit(d);
+            }
+            for (std::uint32_t m = cand & ~u; m != 0; m &= m - 1) {
+              visit(static_cast<unsigned>(std::countr_zero(m)));
+            }
+          }
+        } else {
+          const auto adj = g.neighbors(u);
+          const Node parent = adj[parent_pos];
+          for (unsigned p = 0; p < adj.size(); ++p) {
+            const Node v = adj[p];
+            if (p == parent_pos || in_set_.contains(v) || !eligible(v)) {
+              continue;
+            }
+            consult(p, v, parent);
           }
         }
         if (!deferred && contributed && is_contributor_.insert(u)) {
@@ -297,7 +336,6 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
 
   if (result.contributors > delta) result.all_healthy = true;
   oracle.add_lookups(row_served);
-  if (plan == nullptr) last_unrestricted_size_ = result.members.size();
   frontier_clean_ = true;
   return result;
 }

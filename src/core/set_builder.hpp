@@ -45,6 +45,13 @@
 //     own adjacency list is recorded at admission (one
 //     mirror_position(parent, pos, member) call per member, answered from
 //     the admitted edge), so rounds >= 2 never re-search for the parent.
+//   - On the hypercube's implicit view, rounds >= 2 build no neighbour
+//     list: a frontier node's non-member neighbours are read from the
+//     membership words (ImplicitGraph::clear_neighbor_dims: one load for
+//     dimensions 0-5, one per higher dimension, none for a dimension a
+//     prefix plan makes ineligible), and the parent and each candidate's
+//     position are computed only when a candidate exists, in the view's
+//     ascending order, so admissions match the CSR loop member for member.
 //   - A materialised table (TableOracle, recognised by one dynamic_cast per
 //     run) serves a whole (node, pivot) syndrome row as one packed 64-bit
 //     read; the consulted pairs are then register bit tests, charged in
@@ -56,9 +63,10 @@
 //     hot loop's working set L1-resident; restricted probes resolve
 //     prefix-plan eligibility with an inline shift instead of a virtual
 //     call per neighbour.
-//   - All scratch is member state with cheap clears; steady-state runs
-//     allocate nothing beyond the returned members/parent arrays, which
-//     are reserved from component-size / previous-run bounds.
+//   - All scratch is member state with cheap clears; runs allocate nothing
+//     beyond the returned members/parent arrays, reserved once at their
+//     bound: the component size for a restricted run, num_nodes() for an
+//     unrestricted one, so even a fresh builder's final run never regrows.
 //
 // Row reads and per-pair reads execute the same admission logic and charge
 // the same look-ups, so members, trees, rounds, contributors AND look-up
@@ -69,6 +77,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -152,6 +161,13 @@ class SetBuilder {
     return in_set_.contains(v);
   }
 
+  /// The same set as packed words: bit v & 63 of word v >> 6 is
+  /// in_last_set(v), and the bits past num_nodes() are clear.
+  [[nodiscard]] std::span<const std::uint64_t> last_set_words()
+      const noexcept {
+    return in_set_.words();
+  }
+
   /// If true, stop growing as soon as the certificate fires (the paper
   /// builds to the fixpoint; this is a probe-phase optimisation measured as
   /// E12 in BENCH_paper.json). Default false = paper-faithful.
@@ -205,7 +221,6 @@ class SetBuilder {
   std::vector<std::uint32_t> parent_pos_of_;  // t(v)'s position in adj(v)
   std::vector<unsigned> round1_pos_;  // eligible seed-adjacency positions
   std::vector<ZeroEdge> zero_edges_;  // deferred-join round buffer
-  std::size_t last_unrestricted_size_ = 0;  // reserve hint for members
 
   // Sliced-run scratch: per-node *lane masks* replace the scalar path's
   // per-run bitsets (bit L of s_member_[v] = v ∈ lane L's U_r, and so on),

@@ -13,14 +13,21 @@
 // neighbors() returns a small by-value array rather than a span into
 // storage; the solver templates consume either shape identically. A mirror
 // position is neighbor_position(v, u) on the neighbour v the caller already
-// holds. No mutable state: the view is safe to share across the engine's
-// worker threads.
+// holds. Because every neighbour is a single-bit flip, a node-indexed
+// bitmap answers "which of u's neighbours are in the set" from its words
+// alone (clear_neighbor_dims): one load of u's own word for dimensions 0-5
+// and one load per higher dimension, with no neighbour list built. Bit
+// counts use an inline branch-free count rather than std::popcount, which
+// at the baseline x86-64 target compiles to a libgcc call. No mutable
+// state: the view is safe to share across the engine's worker threads.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "graph/graph.hpp"
@@ -87,7 +94,7 @@ class ImplicitGraph {
 
   /// The p-th neighbour of u in ascending order. Precondition: p < n.
   [[nodiscard]] Node neighbor(Node u, unsigned p) const noexcept {
-    const auto set = static_cast<unsigned>(std::popcount(u));
+    const unsigned set = bit_count(u);
     // The p-th in descending set-bit order is the (set - p)-th lowest set
     // bit; past the set bits comes the (p - set + 1)-th lowest unset bit.
     return p < set ? u ^ nth_lowest_bit(u, set - p)
@@ -97,15 +104,41 @@ class ImplicitGraph {
   /// Position of v in u's ascending adjacency, or -1 if u !~ v.
   [[nodiscard]] int neighbor_position(Node u, Node v) const noexcept {
     const Node d = u ^ v;
-    if (!std::has_single_bit(d) || d > mask_) return -1;
+    if (d == 0 || (d & (d - 1)) != 0 || d > mask_) return -1;
     const auto i = static_cast<unsigned>(std::countr_zero(d));
     if ((u & d) != 0) {
       // Set bit i: preceded in the ascending order by the set bits above it.
-      return std::popcount(u >> (i + 1));
+      return static_cast<int>(bit_count(u >> (i + 1)));
     }
     // Unset bit i: preceded by all set bits plus the unset bits below it.
-    return std::popcount(u) + static_cast<int>(i) -
-           std::popcount(u & (d - 1));
+    return static_cast<int>(bit_count(u) + i - bit_count(u & (d - 1)));
+  }
+
+  /// The dimensions d < k (bit d = the neighbour u ^ 2^d) whose
+  /// neighbour's bit is clear in `words`, a node-indexed bitmap of
+  /// num_nodes() bits. Dimensions 0-5 flip a bit inside u's own word, read
+  /// with one load; each dimension from 6 up to k-1 flips a bit of the word
+  /// index and costs one load; no dimension from k up is read.
+  /// Precondition: k <= n.
+  [[nodiscard]] std::uint32_t clear_neighbor_dims(
+      Node u, std::span<const std::uint64_t> words,
+      unsigned k) const noexcept {
+    const Node word = u >> 6;
+    const unsigned bit = u & 63u;
+    const std::uint64_t mask = std::uint64_t{1} << bit;
+    // Highest dimension first, each outcome shifted in at the bottom: no
+    // variable shift inside the loop.
+    std::uint32_t high = 0;
+    for (Node flip = k > 6 ? Node{1} << (k - 7) : 0; flip != 0; flip >>= 1) {
+      high = (high << 1) |
+             static_cast<std::uint32_t>((words[word ^ flip] & mask) == 0);
+    }
+    const std::uint64_t own = ~words[word];
+    std::uint32_t low = 0;
+    for (unsigned d = 0; d < 6; ++d) {
+      low |= static_cast<std::uint32_t>((own >> (bit ^ (1u << d))) & 1u) << d;
+    }
+    return (high << 6) | (low & ((std::uint32_t{1} << std::min(k, 6u)) - 1));
   }
 
   /// u's position in adj(v). Precondition: v = neighbor(u, p). Throws
@@ -139,6 +172,14 @@ class ImplicitGraph {
                                   "hypercube has one");
     }
     return cube->dimension();
+  }
+
+  /// Set bits of x: the branch-free SWAR count (Hacker's Delight 5-2).
+  static unsigned bit_count(Node x) noexcept {
+    x -= (x >> 1) & 0x55555555u;
+    x = (x & 0x33333333u) + ((x >> 2) & 0x33333333u);
+    x = (x + (x >> 4)) & 0x0F0F0F0Fu;
+    return (x * 0x01010101u) >> 24;
   }
 
   /// The r-th lowest set bit of x (r is 1-indexed), as a one-bit mask.

@@ -10,6 +10,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/types.hpp"
@@ -130,6 +131,12 @@ class DirtyBitset {
 
   [[nodiscard]] std::size_t capacity() const noexcept {
     return words_.size() * 64;
+  }
+
+  /// The packed words, bit v & 63 of word v >> 6 = contains(v); bits past
+  /// the resized length are always clear.
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
+    return words_;
   }
 
  private:

@@ -23,6 +23,7 @@
 #include "mm/oracle.hpp"
 #include "mm/syndrome.hpp"
 #include "test_util.hpp"
+#include "topology/partition.hpp"
 #include "util/rng.hpp"
 
 namespace mmdiag {
@@ -351,11 +352,85 @@ TEST(DispatchEquivalence, CohortRejectsBadWidthsAndNullLanes) {
                std::invalid_argument);
 }
 
+/// Runs `run` on a CSR builder and on an implicit builder, each against its
+/// own oracle, and demands identical runs: members in discovery order,
+/// parents, rounds, contributors, the certificate and look-ups. `what`
+/// names the run in a failure message.
+template <class Run, class What>
+void expect_same_run(SetBuilder& csr, const SyndromeOracle& csr_oracle,
+                     SetBuilder& imp, const SyndromeOracle& imp_oracle,
+                     const Run& run, const What& what) {
+  csr_oracle.reset_lookups();
+  const SetBuilderResult expected = run(csr, csr_oracle);
+  const std::uint64_t expected_lookups = csr_oracle.lookups();
+  imp_oracle.reset_lookups();
+  const SetBuilderResult actual = run(imp, imp_oracle);
+  if (expected.members == actual.members && expected.parent == actual.parent &&
+      expected.rounds == actual.rounds &&
+      expected.contributors == actual.contributors &&
+      expected.all_healthy == actual.all_healthy &&
+      expected_lookups == imp_oracle.lookups()) {
+    return;
+  }
+  EXPECT_EQ(expected.members, actual.members) << what();
+  EXPECT_EQ(expected.parent, actual.parent) << what();
+  EXPECT_EQ(expected.rounds, actual.rounds) << what();
+  EXPECT_EQ(expected.contributors, actual.contributors) << what();
+  EXPECT_EQ(expected.all_healthy, actual.all_healthy) << what();
+  EXPECT_EQ(expected_lookups, imp_oracle.lookups()) << what();
+}
+
+/// Set_Builder runs through both views under every parent rule, with
+/// stop_on_certify off and on: run_restricted over every component of
+/// `plan`, and run from the seed of component `certified` and from the seed
+/// of the last component. A diagnosis cannot see the order in which a
+/// least-first node admits its children; the members and parents of these
+/// runs can. The last seed sets every prefix bit, so from round 2 on most
+/// frontier nodes have non-members both below and above them in the view's
+/// order; from seed 0 a fault-free run meets only the ones above.
+void expect_runs_match(const Graph& graph, const ImplicitGraph& iview,
+                       const PartitionPlan& plan, unsigned delta,
+                       std::uint32_t certified,
+                       const SyndromeOracle& csr_oracle,
+                       const SyndromeOracle& imp_oracle,
+                       const std::string& what) {
+  for (const ParentRule rule : kAllParentRules) {
+    SetBuilder csr(graph, rule);
+    SetBuilder imp(iview, rule);
+    for (const bool stop : {false, true}) {
+      csr.set_stop_on_certify(stop);
+      imp.set_stop_on_certify(stop);
+      auto tag = [&](const std::string& run) {
+        return what + "/" + to_string(rule) +
+               (stop ? "/stop-on-certify/" : "/") + run;
+      };
+      const auto last = static_cast<std::uint32_t>(plan.num_components() - 1);
+      for (const std::uint32_t c : {certified, last}) {
+        expect_same_run(
+            csr, csr_oracle, imp, imp_oracle,
+            [&](SetBuilder& b, const SyndromeOracle& o) {
+              return b.run(o, plan.seed_of(c), delta);
+            },
+            [&] { return tag("run from component " + std::to_string(c)); });
+      }
+      for (std::uint32_t c = 0; c < plan.num_components(); ++c) {
+        expect_same_run(
+            csr, csr_oracle, imp, imp_oracle,
+            [&](SetBuilder& b, const SyndromeOracle& o) {
+              return b.run_restricted(o, plan.seed_of(c), delta, plan, c);
+            },
+            [&] { return tag("component=" + std::to_string(c)); });
+      }
+    }
+  }
+}
+
 // The implicit-view contract: a Diagnoser driven through the hypercube's
 // ImplicitGraph must be bit-identical — faults, failure strings, probes AND
 // look-up counts — to one driven through the materialised CSR, whether the
 // oracle itself reads the implicit view (ImplicitLazyOracle) or a shared
-// syndrome table (TableOracle).
+// syndrome table (TableOracle); so must every Set_Builder run of the two
+// views (expect_runs_match).
 void expect_implicit_matches_csr(const FamilyCase& family) {
   SCOPED_TRACE(family.spec);
   test::Instance inst(family.spec);
@@ -387,6 +462,15 @@ void expect_implicit_matches_csr(const FamilyCase& family) {
       const std::string what = std::string(family.spec) + "/faults=" +
                                std::to_string(num_faults) + "/" +
                                to_string(behavior);
+      // Hypercube 16's Set_Builder runs take about a second per fault case.
+      // Its word paths are the smaller cubes' with more words, so it
+      // compares runs on its last case (|F| = δ, anti-diagnostic) alone,
+      // and only through the lazy oracles, which also read the parent and
+      // both compared nodes the view computes.
+      const bool small = n <= (std::size_t{1} << 12);
+      const bool compare_runs =
+          small || (num_faults == family.delta &&
+                    behavior == FaultyBehavior::kAntiDiagnostic);
 
       // Lazy oracles: each side consults its own view's adjacency.
       const LazyOracle lazy(inst.graph, faults, behavior, /*seed=*/42);
@@ -395,6 +479,11 @@ void expect_implicit_matches_csr(const FamilyCase& family) {
       expect_bit_identical(expected, imp_diagnoser.diagnose(ilazy),
                            what + "/lazy");
       EXPECT_EQ(lazy.lookups(), ilazy.lookups()) << what;
+      if (compare_runs) {
+        expect_runs_match(inst.graph, iview, *csr_partition.plan,
+                          family.delta, expected.certified_component, lazy,
+                          ilazy, what + "/lazy");
+      }
 
       // Shared TableOracle: the very same oracle object through both
       // drivers — any positional drift between the views would misread
@@ -405,15 +494,69 @@ void expect_implicit_matches_csr(const FamilyCase& family) {
       const DiagnosisResult t_expected = csr_diagnoser.diagnose(table);
       expect_bit_identical(t_expected, imp_diagnoser.diagnose(table),
                            what + "/table");
+      if (small) {
+        expect_runs_match(inst.graph, iview, *csr_partition.plan,
+                          family.delta, t_expected.certified_component, table,
+                          table, what + "/table");
+      }
     }
   }
 }
 
 TEST(DispatchEquivalence, ImplicitViewMatchesCsrOnHypercubes) {
+  // Membership words: hypercube 5 fills part of one, 6 exactly one, 7 two.
   expect_implicit_matches_csr({"hypercube 5", 3});
+  expect_implicit_matches_csr({"hypercube 6", 4});
+  expect_implicit_matches_csr({"hypercube 7", 7});
   expect_implicit_matches_csr({"hypercube 10", 10});
   // One 2^16-node instance, a scale none of the families above reaches.
   expect_implicit_matches_csr({"hypercube 16", 16});
+}
+
+/// Components that fix a node's low `low_bits` bits. Not a PrefixBitsPlan,
+/// so the implicit driver cannot drop ineligible dimensions up front and
+/// checks each candidate instead.
+class LowBitsPlan final : public PartitionPlan {
+ public:
+  LowBitsPlan(unsigned total_bits, unsigned low_bits)
+      : total_bits_(total_bits), low_bits_(low_bits) {}
+  [[nodiscard]] std::size_t num_components() const override {
+    return std::size_t{1} << low_bits_;
+  }
+  [[nodiscard]] std::uint32_t component_of(Node v) const override {
+    return v & ((Node{1} << low_bits_) - 1);
+  }
+  [[nodiscard]] Node seed_of(std::size_t c) const override {
+    return static_cast<Node>(c);
+  }
+  [[nodiscard]] std::string description() const override {
+    return "low bits";
+  }
+  [[nodiscard]] std::uint64_t component_size() const override {
+    return std::uint64_t{1} << (total_bits_ - low_bits_);
+  }
+
+ private:
+  unsigned total_bits_;
+  unsigned low_bits_;
+};
+
+TEST(DispatchEquivalence, ImplicitRunsMatchCsrUnderAnyPlan) {
+  test::Instance inst("hypercube 7");
+  const ImplicitGraph iview(*inst.topo);
+  const LowBitsPlan plan(7, 2);
+  const std::size_t n = inst.graph.num_nodes();
+  Rng rng(0x10B175);
+  const FaultSet faults(n, inject_uniform(n, 3, rng));
+  const LazyOracle lazy(inst.graph, faults, FaultyBehavior::kRandom, 7);
+  const ImplicitLazyOracle ilazy(iview, faults, FaultyBehavior::kRandom, 7);
+  expect_runs_match(inst.graph, iview, plan, 7, 0, lazy, ilazy,
+                    "low-bits plan/lazy");
+  const Syndrome syndrome =
+      generate_syndrome(inst.graph, faults, FaultyBehavior::kRandom, 7);
+  const TableOracle table(inst.graph, syndrome);
+  expect_runs_match(inst.graph, iview, plan, 7, 0, table, table,
+                    "low-bits plan/table");
 }
 
 TEST(DispatchEquivalence, ImplicitDiagnoserRejectsCsrOnlyPaths) {
