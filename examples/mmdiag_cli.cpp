@@ -351,13 +351,12 @@ int cmd_diagnose_batch(const std::string& dir, unsigned threads) {
   return serve_files(files, threads, files.size());
 }
 
-/// Directed (PMC/BGM) single-file diagnose: global solve through
-/// DiagnosisEngine::diagnose_directed, or — with `--local` — one node's
-/// status through the BGM neighbourhood-read fast path.
+/// Directed (PMC/BGM) single-file diagnose: one DiagnosisEngine::serve
+/// request, a global solve or — with `--local` — one node's status through
+/// the BGM neighbourhood-read fast path.
 int cmd_diagnose_directed(const LoadedDirectedSyndrome& loaded,
                           Node local_node, bool have_local) {
-  // One request, solved on this thread: neither call below goes through
-  // serve(), so a pool of workers would only sit idle.
+  // One request: a one-lane engine serves it on this thread.
   EngineOptions engine_options;
   engine_options.threads = 1;
   DiagnosisEngine engine(engine_options);
@@ -380,8 +379,15 @@ int cmd_diagnose_directed(const LoadedDirectedSyndrome& loaded,
                 << "has " << loaded.graph.num_nodes() << " nodes)\n";
       return 2;
     }
-    const DiagnosisResult r =
-        engine.local_diagnose(loaded.spec, oracle, local_node);
+  }
+  // Calibrate first, so an instance the model cannot serve is a setup
+  // error (exit 2), as it is for an MM* file, not a failed diagnosis.
+  const DiagnoserOptions& d = engine.options().diagnoser;
+  (void)engine.calibration(loaded.spec, d.delta, d.rule,
+                           d.validate_all_components, loaded.model);
+  const DiagnosisResult r =
+      engine.serve({{loaded.spec, nullptr, &oracle, local_node}}).front();
+  if (have_local) {
     if (!r.success) {
       std::cerr << "local diagnosis failed: " << r.failure_reason << "\n";
       return 1;
@@ -396,19 +402,18 @@ int cmd_diagnose_directed(const LoadedDirectedSyndrome& loaded,
     return 0;
   }
 
-  const DiagnosisResult result = engine.diagnose_directed(loaded.spec, oracle);
-  if (!result.success) {
-    std::cerr << "diagnosis failed: " << result.failure_reason << "\n";
+  if (!r.success) {
+    std::cerr << "diagnosis failed: " << r.failure_reason << "\n";
     return 1;
   }
-  std::cout << "diagnosed " << result.faults.size() << " fault(s) in "
-            << result.diagnose_seconds * 1e3 << " ms solve ("
-            << result.lookups << " look-ups):\n";
-  for (const Node v : result.faults) {
+  std::cout << "diagnosed " << r.faults.size() << " fault(s) in "
+            << r.diagnose_seconds * 1e3 << " ms solve (" << r.lookups
+            << " look-ups):\n";
+  for (const Node v : r.faults) {
     std::cout << "  " << v << "  [" << loaded.topology->node_label(v)
               << "]\n";
   }
-  if (result.faults.empty()) std::cout << "  (system healthy)\n";
+  if (r.faults.empty()) std::cout << "  (system healthy)\n";
   return 0;
 }
 

@@ -76,8 +76,8 @@ ChurnEngine::ChurnEngine(DiagnosisEngine& engine, const std::string& spec,
       delta_(cal_->delta()),
       overlay_(*graph_),
       recert_(*graph_, cal_->partition.plan, delta_, cal_->rule()),
-      probe_builder_(*graph_, cal_->rule()),
-      final_builder_(*graph_, options.final_rule) {
+      final_rule_(options.final_rule),
+      builder_(*graph_, cal_->rule()) {
   // The pristine overlay replays the calibration runs verbatim, so every
   // component starts certified.
   cert_ = recert_.recertify_all(overlay_);
@@ -181,7 +181,8 @@ ChurnDiagnosis ChurnEngine::diagnose_delta(
     const ComponentDiagnosis& cached = cache_.diagnosis.components[c];
     if (!cached.probed) continue;  // skip decision depends only on runs/cert
     masked.reset_lookups();
-    const SetBuilderResult probe = probe_builder_.run_restricted(
+    builder_.set_rule(cal_->rule());
+    const SetBuilderResult probe = builder_.run_restricted(
         masked, cert_[c].seed, delta_, *plan_, c);
     spent += masked.lookups();
     ++reprobed;
@@ -239,7 +240,8 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
     if (!unclassified) continue;
 
     masked.reset_lookups();
-    const SetBuilderResult probe = probe_builder_.run_restricted(
+    builder_.set_rule(cal_->rule());
+    const SetBuilderResult probe = builder_.run_restricted(
         masked, cert[c].seed, delta_, *plan_, c);
     cd.probed = true;
     cd.probe_healthy = probe.all_healthy;
@@ -252,8 +254,8 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
     // unrestricted run over this live island and read faults off its
     // boundary (Theorem 1).
     masked.reset_lookups();
-    const SetBuilderResult run =
-        final_builder_.run(masked, cert[c].seed, delta_);
+    builder_.set_rule(final_rule_);
+    const SetBuilderResult run = builder_.run(masked, cert[c].seed, delta_);
     const std::uint64_t run_lookups = masked.lookups();
     out.spent_lookups += run_lookups;
     out.runs.push_back(SolveRecord{c, run_lookups,

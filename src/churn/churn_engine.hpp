@@ -187,8 +187,8 @@ class ChurnEngine {
   unsigned delta_;
   TopologyOverlay overlay_;
   ChurnRecertifier recert_;
-  SetBuilder probe_builder_;
-  SetBuilder final_builder_;
+  ParentRule final_rule_;
+  SetBuilder builder_;  // probes under cal_->rule(), final runs final_rule_
 
   mutable std::mutex mu_;
   std::vector<ComponentChurnState> cert_;

@@ -61,8 +61,7 @@ Diagnoser::Diagnoser(const Graph& graph, CertifiedPartition partition,
       options_(options),
       delta_(partition.delta),
       partition_(std::move(partition)),
-      probe_builder_(graph, options.rule),
-      final_builder_(graph, options.final_rule) {
+      builder_(graph, options.rule) {
   check_adopted_partition();
 }
 
@@ -87,8 +86,7 @@ Diagnoser::Diagnoser(const ImplicitGraph& graph, CertifiedPartition partition,
       options_(options),
       delta_(partition.delta),
       partition_(std::move(partition)),
-      probe_builder_(graph, options.rule),
-      final_builder_(graph, options.final_rule) {
+      builder_(graph, options.rule) {
   check_adopted_partition();
 }
 
@@ -141,10 +139,11 @@ DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
       std::min<std::size_t>(plan.num_components(), std::size_t{delta_} + 1);
   std::uint32_t certified = 0;
   bool found = false;
-  probe_builder_.set_stop_on_certify(options_.stop_probe_on_certify);
+  builder_.set_rule(options_.rule);
+  builder_.set_stop_on_certify(options_.stop_probe_on_certify);
   for (std::size_t c = 0; c < max_probes; ++c) {
     ++out.probes;
-    const auto probe = probe_builder_.run_restricted(
+    const auto probe = builder_.run_restricted(
         oracle, plan.seed_of(c), delta_, plan, static_cast<std::uint32_t>(c));
     if (probe.all_healthy) {
       certified = static_cast<std::uint32_t>(c);
@@ -152,7 +151,7 @@ DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
       break;
     }
   }
-  probe_builder_.set_stop_on_certify(false);
+  builder_.set_stop_on_certify(false);
   if (!found) {
     out.lookups = oracle.lookups();
     out.failure_reason =
@@ -168,7 +167,8 @@ DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
   // healthy (the seed is, and health propagates down the 0-tests) — no
   // certificate is required, so the cheaper final rule applies.
   [[maybe_unused]] const std::uint64_t before_final = oracle.lookups();
-  const auto full = final_builder_.run(oracle, plan.seed_of(certified), delta_);
+  builder_.set_rule(options_.final_rule);
+  const auto full = builder_.run(oracle, plan.seed_of(certified), delta_);
   assert(within_final_bound(oracle.lookups() - before_final, g.max_degree(),
                             full.members.size()));
   out.final_members = full.members.size();
@@ -181,7 +181,7 @@ DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
   // member neighbour. Equivalent to walking every member's adjacency (same
   // set, by definition of N), ~Δ× cheaper, and ascending by construction —
   // no sort, no dedup scratch.
-  const std::span<const std::uint64_t> in_set = final_builder_.last_set_words();
+  const std::span<const std::uint64_t> in_set = builder_.last_set_words();
   const std::size_t num_nodes = g.num_nodes();
   for (std::size_t w = 0; w < in_set.size(); ++w) {
     std::uint64_t outside = ~in_set[w];
@@ -191,7 +191,7 @@ DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
     for (; outside != 0; outside &= outside - 1) {
       const auto v = static_cast<Node>((w << 6) + std::countr_zero(outside));
       for (const Node x : g.neighbors(v)) {
-        if (final_builder_.in_last_set(x)) {
+        if (builder_.in_last_set(x)) {
           out.faults.push_back(v);
           break;
         }
@@ -271,14 +271,14 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
   const std::size_t max_probes =
       std::min<std::size_t>(plan.num_components(), std::size_t{delta_} + 1);
   std::uint64_t certified = 0;
-  probe_builder_.set_stop_on_certify(options_.stop_probe_on_certify);
+  builder_.set_rule(options_.rule);
+  builder_.set_stop_on_certify(options_.stop_probe_on_certify);
   for (std::size_t c = 0; c < max_probes; ++c) {
     const std::uint64_t probing = live & ~certified;
     if (probing == 0) break;
-    probe_builder_.run_sliced_restricted(sliced, plan.seed_of(c), delta_,
-                                         probing, plan,
-                                         static_cast<std::uint32_t>(c),
-                                         lane_run.data());
+    builder_.run_sliced_restricted(sliced, plan.seed_of(c), delta_, probing,
+                                   plan, static_cast<std::uint32_t>(c),
+                                   lane_run.data());
     for (std::uint64_t m = probing; m != 0; m &= m - 1) {
       const unsigned L = static_cast<unsigned>(std::countr_zero(m));
       ++out[L].probes;
@@ -288,7 +288,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
       }
     }
   }
-  probe_builder_.set_stop_on_certify(false);
+  builder_.set_stop_on_certify(false);
   for (std::uint64_t m = live & ~certified; m != 0; m &= m - 1) {
     out[std::countr_zero(m)].failure_reason =
         "no component certified within delta+1 probes; the fault count "
@@ -298,6 +298,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
 
   // Phases 2+3 per distinct certified component: lanes that certified the
   // same seed share one unrestricted lockstep run and one boundary scan.
+  builder_.set_rule(options_.final_rule);
   const std::size_t num_nodes = graph_->num_nodes();
   std::uint64_t remaining = certified;
   while (remaining != 0) {
@@ -316,8 +317,8 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
       before_final[L] = sliced.lane_lookups(L);
     }
 #endif
-    final_builder_.run_sliced(sliced, plan.seed_of(comp), delta_, group,
-                              lane_run.data());
+    builder_.run_sliced(sliced, plan.seed_of(comp), delta_, group,
+                        lane_run.data());
     for (std::uint64_t m = group; m != 0; m &= m - 1) {
       const unsigned L = static_cast<unsigned>(std::countr_zero(m));
       assert(within_final_bound(sliced.lane_lookups(L) - before_final[L],
@@ -331,12 +332,11 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
     // lane-membership masks. Ascending v, so per-lane fault lists come
     // out sorted exactly as the scalar path produces them.
     for (Node v = 0; v < num_nodes; ++v) {
-      const std::uint64_t cand =
-          group & ~final_builder_.sliced_member_mask(v);
+      const std::uint64_t cand = group & ~builder_.sliced_member_mask(v);
       if (cand == 0) continue;
       std::uint64_t hit = 0;
       for (const Node w : graph_->neighbors(v)) {
-        hit |= cand & final_builder_.sliced_member_mask(w);
+        hit |= cand & builder_.sliced_member_mask(w);
         if (hit == cand) break;
       }
       for (std::uint64_t m = hit; m != 0; m &= m - 1) {

@@ -160,8 +160,10 @@ class Diagnoser {
   DiagnoserOptions options_;
   unsigned delta_;
   CertifiedPartition partition_;
-  SetBuilder probe_builder_;  // options.rule — matches the calibration
-  SetBuilder final_builder_;  // options.final_rule — no certificate needed
+  // Probes run under options.rule (the calibration's), final runs under
+  // options.final_rule (no certificate needed); the phases never overlap,
+  // so one builder's O(N) scratch serves both, its rule set per phase.
+  SetBuilder builder_;
 };
 
 }  // namespace mmdiag

@@ -173,6 +173,10 @@ class SetBuilder {
   /// E12 in BENCH_paper.json). Default false = paper-faithful.
   void set_stop_on_certify(bool stop) noexcept { stop_on_certify_ = stop; }
 
+  /// The parent rule of the next runs. No scratch depends on the rule, so
+  /// one builder can alternate calibration-rule probes and final-rule runs.
+  void set_rule(ParentRule rule) noexcept { rule_ = rule; }
+
   [[nodiscard]] ParentRule rule() const noexcept { return rule_; }
 
  private:

@@ -1,9 +1,10 @@
 // Calibration — the immutable per-instance bundle the engine shares.
 //
 // Everything fault-independent about one topology instance lives here: the
-// Topology (adjacency arithmetic, constants), its materialised CSR graph,
-// and the certified partition with the ParentRule/delta it was calibrated
-// under. Building one is the dominant setup cost of the §5 driver, which is
+// Topology (adjacency arithmetic, constants), its graph view (a
+// materialised CSR graph, or for a large hypercube the O(1)-memory
+// ImplicitGraph and no CSR at all), and the certified partition with the
+// ParentRule/delta it was calibrated under. Building one is the dominant setup cost of the §5 driver, which is
 // exactly why the engine caches them; once built, a Calibration is
 // immutable and shared by shared_ptr, so a cache eviction can never
 // invalidate a bundle a Diagnoser is still using.

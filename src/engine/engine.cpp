@@ -32,47 +32,33 @@ std::unique_ptr<Diagnoser> make_calibrated_diagnoser(
                                      options);
 }
 
-/// Result convention for a definite local answer: success about one node.
-DiagnosisResult definite_local(LocalDiagnosisStatus status,
-                               std::uint64_t lookups, Node node) {
-  DiagnosisResult out;
-  out.success = true;
-  if (status == LocalDiagnosisStatus::kFaulty) out.faults.push_back(node);
-  out.lookups = lookups;
-  out.used_local_fast_path = true;
-  return out;
-}
-
-/// Narrow a global solve down to the one node a local request asked about,
-/// folding the fast path's (inconclusive) reads into the look-up count.
-DiagnosisResult restrict_to_node(DiagnosisResult global, Node node,
-                                 std::uint64_t local_lookups) {
-  global.lookups += local_lookups;
-  if (global.success) {
-    const bool faulty = std::binary_search(global.faults.begin(),
-                                           global.faults.end(), node);
-    global.faults.clear();
-    if (faulty) global.faults.push_back(node);
-  }
-  return global;
-}
-
 /// One directed request, start to finish: a plain global solve, or —
-/// when local_node is set — the BGM fast path with global fallback.
+/// when local_node is set — the BGM fast path. A definite local answer is
+/// a success about that node alone; on kUnknown the global solve answers,
+/// narrowed to the node, with the fast path's reads folded into its
+/// look-up count.
 DiagnosisResult run_directed(DirectedDiagnoser& driver, const Graph& graph,
                              const DirectedOracle& oracle, Node local_node) {
   if (local_node == kNoNode) return driver.diagnose(oracle);
   const Timer timer;
   const LocalDiagnosisResult local =
       bgm_local_diagnose(graph, oracle, local_node);
+  DiagnosisResult out;
   if (local.status != LocalDiagnosisStatus::kUnknown) {
-    DiagnosisResult out = definite_local(local.status, local.lookups,
-                                         local_node);
-    out.diagnose_seconds = timer.seconds();
-    return out;
+    out.success = true;
+    out.used_local_fast_path = true;
+    if (local.status == LocalDiagnosisStatus::kFaulty) {
+      out.faults.push_back(local_node);
+    }
+  } else {
+    out = driver.diagnose(oracle);
+    if (out.success) {
+      const bool faulty = std::binary_search(out.faults.begin(),
+                                             out.faults.end(), local_node);
+      out.faults.assign(faulty ? 1 : 0, local_node);
+    }
   }
-  DiagnosisResult out =
-      restrict_to_node(driver.diagnose(oracle), local_node, local.lookups);
+  out.lookups += local.lookups;
   out.diagnose_seconds = timer.seconds();
   return out;
 }
@@ -175,64 +161,49 @@ std::shared_ptr<const Calibration> DiagnosisEngine::calibration(
 
 DiagnosisResult DiagnosisEngine::diagnose(const std::string& spec,
                                           const SyndromeOracle& oracle) {
-  const Timer setup_timer;
-  bool reused = false;
-  const std::shared_ptr<const Calibration> cal =
-      get_or_build(spec, options_.diagnoser.delta, options_.diagnoser.rule,
-                   options_.diagnoser.validate_all_components,
-                   DiagnosisModel::kMMStar, &reused);
-
-  const std::unique_ptr<Diagnoser> diagnoser =
-      make_calibrated_diagnoser(cal, options_.diagnoser);
-  const double setup_seconds = setup_timer.seconds();
-  DiagnosisResult result = diagnoser->diagnose(oracle);
-  result.calibration_reused = reused;
-  result.setup_seconds = setup_seconds;
-  return result;
+  const std::lock_guard<std::mutex> serve_lock(serve_mu_);
+  return solve(0, EngineRequest{spec, &oracle});
 }
 
-DiagnosisResult DiagnosisEngine::diagnose_directed(
-    const std::string& spec, const DirectedOracle& oracle) {
-  const Timer setup_timer;
-  bool reused = false;
-  const std::shared_ptr<const Calibration> cal =
-      get_or_build(spec, options_.diagnoser.delta, options_.diagnoser.rule,
-                   options_.diagnoser.validate_all_components, oracle.model(),
-                   &reused);
-  DirectedDiagnoser driver(cal->graph, cal->delta());
-  const double setup_seconds = setup_timer.seconds();
-  DiagnosisResult result = driver.diagnose(oracle);
-  result.calibration_reused = reused;
-  result.setup_seconds = setup_seconds;
-  return result;
-}
-
-DiagnosisResult DiagnosisEngine::local_diagnose(const std::string& spec,
-                                                const DirectedOracle& oracle,
-                                                Node node) {
-  const Timer setup_timer;
-  bool reused = false;
-  const std::shared_ptr<const Calibration> cal =
-      get_or_build(spec, options_.diagnoser.delta, options_.diagnoser.rule,
-                   options_.diagnoser.validate_all_components, oracle.model(),
-                   &reused);
-  const double setup_seconds = setup_timer.seconds();
-  const Timer solve_timer;
-  const LocalDiagnosisResult local = bgm_local_diagnose(cal->graph, oracle,
-                                                        node);
-  DiagnosisResult result;
-  if (local.status != LocalDiagnosisStatus::kUnknown) {
-    // The fast path answered: no DirectedDiagnoser is even constructed —
-    // per-request cost stays at the neighbourhood reads.
-    result = definite_local(local.status, local.lookups, node);
-  } else {
-    DirectedDiagnoser driver(cal->graph, cal->delta());
-    result = restrict_to_node(driver.diagnose(oracle), node, local.lookups);
+DiagnosisResult DiagnosisEngine::solve(unsigned lane,
+                                       const EngineRequest& request) {
+  DiagnosisResult out;
+  if (request.oracle != nullptr && request.directed != nullptr) {
+    out.failure_reason = "request carries both an MM* and a directed oracle";
+    return out;
   }
-  result.diagnose_seconds = solve_timer.seconds();
-  result.calibration_reused = reused;
-  result.setup_seconds = setup_seconds;
-  return result;
+  if (request.oracle == nullptr && request.directed == nullptr) {
+    out.failure_reason = "null oracle in request";
+    return out;
+  }
+  if (request.local_node != kNoNode && request.directed == nullptr) {
+    out.failure_reason =
+        "local_node is set but the request has no directed oracle";
+    return out;
+  }
+  if (request.directed != nullptr &&
+      !is_directed_model(request.directed->model())) {
+    // An MM* calibration has no DirectedDiagnoser to hand the oracle to.
+    out.failure_reason = "directed oracle carries the MM* model";
+    return out;
+  }
+  const Timer setup_timer;
+  bool reused = false;
+  const std::shared_ptr<const Calibration> cal = get_or_build(
+      request.spec, options_.diagnoser.delta, options_.diagnoser.rule,
+      options_.diagnoser.validate_all_components,
+      request.directed != nullptr ? request.directed->model()
+                                  : DiagnosisModel::kMMStar,
+      &reused);
+  LaneDiagnoser& driver = lane_driver(lane, cal);
+  const double setup_seconds = setup_timer.seconds();
+  out = request.directed != nullptr
+            ? run_directed(*driver.directed, cal->graph, *request.directed,
+                           request.local_node)
+            : driver.diagnoser->diagnose(*request.oracle);
+  out.calibration_reused = reused;
+  out.setup_seconds = setup_seconds;
+  return out;
 }
 
 std::vector<DiagnosisResult> DiagnosisEngine::serve(
@@ -330,52 +301,13 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
           return;
         }
         const std::size_t i = plan.scalar[item - plan.cohorts.size()];
-        const EngineRequest& request = requests[i];
-        DiagnosisResult& out = results[i];
-        if (request.oracle != nullptr && request.directed != nullptr) {
-          out.failure_reason =
-              "request carries both an MM* and a directed oracle";
-          return;
-        }
-        if (request.oracle == nullptr && request.directed == nullptr) {
-          out.failure_reason = "null oracle in request";
-          return;
-        }
-        if (request.local_node != kNoNode && request.directed == nullptr) {
-          out.failure_reason =
-              "local_node is set but the request has no directed oracle";
-          return;
-        }
         try {
-          const Timer setup_timer;
-          bool reused = false;
-          if (request.directed != nullptr) {
-            const std::shared_ptr<const Calibration> cal = get_or_build(
-                request.spec, options_.diagnoser.delta,
-                options_.diagnoser.rule,
-                options_.diagnoser.validate_all_components,
-                request.directed->model(), &reused);
-            DirectedDiagnoser& driver = *lane_driver(lane, cal).directed;
-            const double setup_seconds = setup_timer.seconds();
-            out = run_directed(driver, cal->graph, *request.directed,
-                               request.local_node);
-            out.calibration_reused = reused;
-            out.setup_seconds = setup_seconds;
-            return;
-          }
-          const std::shared_ptr<const Calibration> cal = get_or_build(
-              request.spec, options_.diagnoser.delta, options_.diagnoser.rule,
-              options_.diagnoser.validate_all_components,
-              DiagnosisModel::kMMStar, &reused);
-          Diagnoser& diagnoser = *lane_driver(lane, cal).diagnoser;
-          const double setup_seconds = setup_timer.seconds();
-          out = diagnoser.diagnose(*request.oracle);
-          out.calibration_reused = reused;
-          out.setup_seconds = setup_seconds;
+          results[i] = solve(lane, requests[i]);
         } catch (const std::exception& e) {
           // A malformed or unsupported request fails alone.
-          out = DiagnosisResult{};
-          out.failure_reason = std::string("engine setup failed: ") + e.what();
+          results[i] = DiagnosisResult{};
+          results[i].failure_reason =
+              std::string("engine setup failed: ") + e.what();
         }
       });
   return results;
@@ -397,11 +329,12 @@ std::unique_ptr<Diagnoser> DiagnosisEngine::make_diagnoser(
 
 DiagnosisEngine::LaneDiagnoser& DiagnosisEngine::lane_driver(
     unsigned lane, const std::shared_ptr<const Calibration>& cal) {
-  // Lane-local drivers reuse their scratch (frontiers, stamp sets, arc
-  // tables) across the stream without crossing threads. Stale entries for
-  // evicted calibrations can never be looked up again (the pointer
-  // differs), so pruning them first keeps total pinned memory proportional
-  // to the cache capacity, not to threads x capacity.
+  // Lane-local drivers reuse their scratch (a Diagnoser's Set_Builder
+  // bitsets and parent positions, a DirectedDiagnoser's outcome and
+  // union-find arrays) across requests without crossing threads. Stale
+  // entries for evicted calibrations can never be looked up again (the
+  // pointer differs), so pruning them first keeps total pinned memory
+  // proportional to the cache capacity, not to threads x capacity.
   auto& scratch = lane_scratch_[lane];
   if (const auto it = scratch.find(cal.get()); it != scratch.end()) {
     return it->second;

@@ -1,9 +1,9 @@
 // DiagnosisEngine — the shared calibration-cache service layer.
 //
-// Every entry point of this library (CLI one-shot diagnosis, batch
-// directories, the differential fuzzer, the benches) needs the same
-// expensive fault-independent state per topology spec: Topology + CSR graph
-// + certified partition. A production service facing a mixed-spec request
+// Every entry point of this library (the CLI's diagnose and serve commands,
+// the differential fuzzer, the churn engine, perfbench's workloads) needs
+// the same expensive fault-independent state per topology spec: Topology +
+// graph view + certified partition. A service facing a mixed-spec request
 // stream needs exactly one owner of that state, so the engine provides it:
 //
 //   - a thread-safe LRU cache of immutable shared_ptr<const Calibration>
@@ -16,9 +16,11 @@
 //     bundle), while misses on different keys calibrate in parallel;
 //   - eviction safety by construction: entries are shared_ptr, so a bundle
 //     evicted mid-flight stays alive for every Diagnoser still holding it;
-//   - serve(): a mixed-spec request stream fanned over the PR 2 ThreadPool,
-//     with per-lane Diagnoser scratch reuse and per-request setup/solve
-//     accounting (DiagnosisResult::calibration_reused / setup_seconds).
+//   - one request path: serve() fans a mixed-spec request stream over the
+//     engine's ThreadPool (util/thread_pool.hpp), and diagnose() is one
+//     request on serve()'s lane 0. Every request is solved by its lane's
+//     cached driver, with per-request setup/solve accounting
+//     (DiagnosisResult::calibration_reused / setup_seconds).
 //
 // Results are bit-identical to constructing a Diagnoser (or a
 // DirectedDiagnoser) directly: the engine only decides *where* the
@@ -116,27 +118,19 @@ class DiagnosisEngine {
       bool validate_all = true,
       DiagnosisModel model = DiagnosisModel::kMMStar);
 
-  /// Diagnose one syndrome through the cache. Thread-safe (a fresh
-  /// Diagnoser is built per call — use serve() to amortise scratch across a
-  /// stream). Fills the result's calibration_reused/setup_seconds split.
+  /// Diagnose one MM* syndrome on serve()'s request path, with lane 0's
+  /// cached Diagnoser. Takes serve()'s lock, so calls are serialised with
+  /// serve() and with each other: safe from any thread, never parallel
+  /// (serve() is the concurrent entry point). Lane 0's solver stays
+  /// allocated between calls (about 4.6 MiB of Set_Builder scratch at
+  /// hypercube 20) until the lane prunes drivers of evicted calibrations.
+  /// Fills the result's calibration_reused/setup_seconds split. Throws what
+  /// serve() reports as failed results: std::invalid_argument on an unknown
+  /// spec or, before any look-up, on an oracle whose graph differs from the
+  /// calibration's in shape; DiagnosisUnsupportedError when the instance
+  /// cannot certify the bound.
   [[nodiscard]] DiagnosisResult diagnose(const std::string& spec,
                                          const SyndromeOracle& oracle);
-
-  /// Diagnose one directed (PMC/BGM) syndrome through the cache; the model
-  /// tag comes from the oracle. Thread-safe; a fresh DirectedDiagnoser is
-  /// built per call. Throws std::invalid_argument, before any look-up, on
-  /// an oracle whose graph differs from the calibration's in shape.
-  [[nodiscard]] DiagnosisResult diagnose_directed(
-      const std::string& spec, const DirectedOracle& oracle);
-
-  /// Decide one node's status under BGM: the local fast path first, a full
-  /// solve only on kUnknown (see EngineRequest::local_node for the result
-  /// convention). Throws std::invalid_argument, before any look-up, on an
-  /// oracle whose graph differs from the calibration's in node count or
-  /// minimum or maximum degree, a non-BGM oracle or an out-of-range node.
-  [[nodiscard]] DiagnosisResult local_diagnose(const std::string& spec,
-                                               const DirectedOracle& oracle,
-                                               Node node);
 
   /// Diagnose a mixed-spec request stream over the engine's ThreadPool,
   /// reusing per-lane Diagnoser scratch per calibration. requests[i] ->
@@ -149,8 +143,8 @@ class DiagnosisEngine {
   /// calibration's in node count or minimum or maximum degree) become
   /// failed results, never exceptions — one bad request must not poison a
   /// stream.
-  /// Serialised: concurrent serve() calls run one at a time (each already
-  /// uses every pool lane).
+  /// Serialised: concurrent serve() and diagnose() calls run one at a time
+  /// (each serve() already uses every pool lane).
   [[nodiscard]] std::vector<DiagnosisResult> serve(
       const std::vector<EngineRequest>& requests);
 
@@ -222,11 +216,20 @@ class DiagnosisEngine {
   static constexpr std::size_t kStripes = 16;
   std::array<std::mutex, kStripes> stripes_;
 
-  std::mutex serve_mu_;  // parallel_for is not reentrant
+  /// One request, start to finish, on lane `lane`'s cached driver: the
+  /// malformed-request checks (returned as failed results), get_or_build
+  /// under the request's model, then the MM* solve or run_directed, with
+  /// the calibration_reused/setup_seconds stamps. Setup and solver
+  /// exceptions propagate; serve() turns them into failed results. The
+  /// caller holds serve_mu_ or is lane `lane` inside serve().
+  DiagnosisResult solve(unsigned lane, const EngineRequest& request);
+
+  std::mutex serve_mu_;  // parallel_for is not reentrant; lane 0 is shared
   /// lane_scratch_[lane] maps calibration -> that lane's driver; touched
-  /// only by lane `lane` inside serve()'s parallel_for. A calibration is
-  /// MM* or directed (the model is in its cache key), so exactly one of
-  /// the two driver slots is populated per entry.
+  /// only under serve_mu_, by lane `lane` inside serve()'s parallel_for or
+  /// (lane 0) by diagnose(). A calibration is MM* or directed (the model is
+  /// in its cache key), so exactly one of the two driver slots is populated
+  /// per entry.
   struct LaneDiagnoser {
     std::shared_ptr<const Calibration> calibration;
     std::unique_ptr<Diagnoser> diagnoser;

@@ -2,8 +2,7 @@
 // DirectedExactSolver ground truth across models, behaviours and both
 // fault regimes; the BGM local-diagnosis rules (soundness + the
 // neighbourhood look-up bound); and the engine integration — model-tagged
-// cache entries, diagnose_directed, the local fast path, and serve()'s
-// directed routing.
+// cache entries, and serve()'s directed global and local requests.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -249,7 +248,14 @@ TEST(DirectedEngine, DirectedCalibrationsRefuseTheImplicitView) {
   EXPECT_GT(cal->graph.num_nodes(), 0u);
 }
 
-TEST(DirectedEngine, DiagnoseDirectedMatchesTheStandaloneDriver) {
+/// One directed request through DiagnosisEngine::serve.
+DiagnosisResult serve_one(DiagnosisEngine& engine, const char* spec,
+                          const DirectedOracle& oracle,
+                          Node local_node = kNoNode) {
+  return engine.serve({{spec, nullptr, &oracle, local_node}}).front();
+}
+
+TEST(DirectedEngine, ServedGlobalRequestMatchesTheStandaloneDriver) {
   const Instance inst("hypercube 4");
   DiagnosisEngine engine;
   for (const DiagnosisModel model : kDirectedModels) {
@@ -257,7 +263,7 @@ TEST(DirectedEngine, DiagnoseDirectedMatchesTheStandaloneDriver) {
     const DirectedLazyOracle oracle(inst.graph, faults, model,
                                     FaultyBehavior::kAntiDiagnostic, 5);
     const DiagnosisResult via_engine =
-        engine.diagnose_directed("hypercube 4", oracle);
+        serve_one(engine, "hypercube 4", oracle);
     DirectedDiagnoser driver(inst.graph, inst.topo->default_fault_bound());
     const DiagnosisResult direct = driver.diagnose(oracle);
     EXPECT_EQ(via_engine.success, direct.success);
@@ -266,21 +272,19 @@ TEST(DirectedEngine, DiagnoseDirectedMatchesTheStandaloneDriver) {
   }
 }
 
-TEST(DirectedEngine, LocalDiagnoseUsesTheFastPathAndFallsBack) {
+TEST(DirectedEngine, ServedLocalRequestUsesTheFastPathAndFallsBack) {
   const Instance inst("hypercube 4");
   DiagnosisEngine engine;
   // Definite local answers: fast path, neighbourhood-bounded look-ups.
   const FaultSet faults(inst.graph.num_nodes(), {3});
   const DirectedLazyOracle oracle(inst.graph, faults, DiagnosisModel::kBGM,
                                   FaultyBehavior::kRandom, 7);
-  const DiagnosisResult healthy = engine.local_diagnose("hypercube 4",
-                                                        oracle, 0);
+  const DiagnosisResult healthy = serve_one(engine, "hypercube 4", oracle, 0);
   ASSERT_TRUE(healthy.success);
   EXPECT_TRUE(healthy.faults.empty());
   EXPECT_TRUE(healthy.used_local_fast_path);
   EXPECT_LE(healthy.lookups, local_lookup_bound(inst.graph, 0));
-  const DiagnosisResult faulty = engine.local_diagnose("hypercube 4",
-                                                       oracle, 3);
+  const DiagnosisResult faulty = serve_one(engine, "hypercube 4", oracle, 3);
   ASSERT_TRUE(faulty.success);
   EXPECT_EQ(faulty.faults, std::vector<Node>{3});
   EXPECT_TRUE(faulty.used_local_fast_path);
@@ -298,16 +302,24 @@ TEST(DirectedEngine, LocalDiagnoseUsesTheFastPathAndFallsBack) {
   const DirectedTableOracle ones_oracle(inst.graph, all_ones,
                                         DiagnosisModel::kBGM);
   const DiagnosisResult fallback =
-      engine.local_diagnose("hypercube 4", ones_oracle, 0);
+      serve_one(engine, "hypercube 4", ones_oracle, 0);
   EXPECT_FALSE(fallback.used_local_fast_path);
   EXPECT_FALSE(fallback.success);
 
-  // Guards surface as exceptions, same as the standalone API.
+  // A guard fails the request with the message the standalone API throws.
   const DirectedLazyOracle pmc(inst.graph, faults, DiagnosisModel::kPMC,
                                FaultyBehavior::kRandom, 7);
-  EXPECT_THROW(
-      static_cast<void>(engine.local_diagnose("hypercube 4", pmc, 0)),
-      std::invalid_argument);
+  std::string guard;
+  try {
+    static_cast<void>(bgm_local_diagnose(inst.graph, pmc, 0));
+  } catch (const std::invalid_argument& e) {
+    guard = e.what();
+  }
+  ASSERT_FALSE(guard.empty());
+  const DiagnosisResult refused = serve_one(engine, "hypercube 4", pmc, 0);
+  EXPECT_FALSE(refused.success);
+  EXPECT_NE(refused.failure_reason.find(guard), std::string::npos)
+      << refused.failure_reason;
 }
 
 TEST(DirectedEngine, ServeRoutesDirectedAndLocalRequests) {
@@ -331,6 +343,9 @@ TEST(DirectedEngine, ServeRoutesDirectedAndLocalRequests) {
   const DirectedLazyOracle bgm_oracle(inst.graph, faults,
                                       DiagnosisModel::kBGM,
                                       FaultyBehavior::kAllZero, 3);
+  const DirectedLazyOracle mm_tagged(inst.graph, faults,
+                                     DiagnosisModel::kMMStar,
+                                     FaultyBehavior::kRandom, 3);
   std::vector<EngineRequest> requests;
   requests.push_back({"hypercube 7", &mm_oracle, nullptr, kNoNode});
   requests.push_back({"hypercube 7", nullptr, &pmc_oracle, kNoNode});
@@ -340,6 +355,7 @@ TEST(DirectedEngine, ServeRoutesDirectedAndLocalRequests) {
   requests.push_back({"hypercube 7", &mm_oracle, &pmc_oracle, kNoNode});
   requests.push_back({"hypercube 7", &mm_oracle, nullptr, Node{0}});
   requests.push_back({"hypercube 7", nullptr, nullptr, kNoNode});
+  requests.push_back({"hypercube 7", nullptr, &mm_tagged, kNoNode});
   const std::vector<DiagnosisResult> results = engine.serve(requests);
   ASSERT_EQ(results.size(), requests.size());
 
@@ -360,6 +376,10 @@ TEST(DirectedEngine, ServeRoutesDirectedAndLocalRequests) {
   EXPECT_FALSE(results[5].success);
   EXPECT_FALSE(results[6].success);
   EXPECT_FALSE(results[7].success);
+  EXPECT_FALSE(results[8].success);
+  EXPECT_EQ(results[8].failure_reason,
+            "directed oracle carries the MM* model");
+  EXPECT_EQ(mm_tagged.lookups(), 0u);
 }
 
 }  // namespace

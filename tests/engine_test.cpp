@@ -372,9 +372,10 @@ TEST(DiagnosisEngine, DirectedOracleOverAnotherGraphIsRejected) {
   // 5, which a local request for node 100 would read past its 32 rows, and
   // a PMC lazy oracle over hypercube 7 minus an edge, whose node count
   // matches but whose node 126 has one neighbour fewer. Every entry point
-  // must refuse each before its first look-up, naming both shapes; in
-  // serve() each fails alone while matched PMC and BGM local requests in
-  // the same stream equal their direct solves.
+  // must refuse each before its first look-up, naming both shapes: the
+  // solvers throw, and serve() fails each request alone, also while
+  // matched PMC and BGM local requests in the same stream equal their
+  // direct solves.
   const test::Instance q7("hypercube 7");
   const test::Instance q5("hypercube 5");
   const Graph cut = test::without_edge(q7.graph, 126, 127);
@@ -412,12 +413,17 @@ TEST(DiagnosisEngine, DirectedOracleOverAnotherGraphIsRejected) {
             << who << ": " << e.what();
       }
     };
-    expect_rejected(
-        [&] { (void)engine.local_diagnose("hypercube 7", stray.oracle, kLocal); },
-        "local_diagnose");
-    expect_rejected(
-        [&] { (void)engine.diagnose_directed("hypercube 7", stray.oracle); },
-        "diagnose_directed");
+    // Sent alone, as a local and as a global request, each fails with the
+    // message the solvers throw.
+    for (const Node local : {kLocal, kNoNode}) {
+      const DiagnosisResult served =
+          engine.serve({{"hypercube 7", nullptr, &stray.oracle, local}})
+              .front();
+      EXPECT_FALSE(served.success);
+      EXPECT_NE(served.failure_reason.find(stray.reason), std::string::npos)
+          << (local == kNoNode ? "global" : "local")
+          << " request: " << served.failure_reason;
+    }
     expect_rejected(
         [&] { (void)bgm_local_diagnose(q7.graph, stray.oracle, kLocal); },
         "bgm_local_diagnose");
@@ -948,6 +954,68 @@ TEST(DiagnosisEngine, InvalidationRacingServeStaysBitIdentical) {
   stop.store(true);
   invalidator.join();
   EXPECT_GT(engine.counters().evictions_explicit, 0u);
+}
+
+TEST(DiagnosisEngine, DiagnoseRacingServeSharesLaneZeroBitIdentically) {
+  // diagnose() solves on serve()'s lane 0 driver. One thread loops
+  // diagnose() over lazy hypercube 7 requests while this one serves a
+  // batch of the same spec (8 lazy requests and 64 tables, which form a
+  // cohort), so both entry points use lane 0's cached Diagnoser. serve()'s
+  // lock serialises them: every answer equals a direct solve, and the
+  // TSan pass reports no race on the lane's scratch.
+  EngineOptions options;
+  options.threads = 2;
+  DiagnosisEngine engine(options);
+  const test::Instance cube("hypercube 7");
+  Diagnoser direct(*cube.topo, cube.graph);
+  const unsigned delta = direct.delta();
+  Rng rng(0xD1A6);
+  StreamOracles oracles;
+  std::vector<EngineRequest> requests;
+  std::vector<DiagnosisResult> expected;
+  for (std::size_t k = 0; k < 72; ++k) {
+    const SyndromeOracle& oracle =
+        k % 9 == 8 ? static_cast<const SyndromeOracle&>(
+                         oracles.lazy(cube.graph, delta, k, rng))
+                   : oracles.table(cube.graph, delta, k, rng);
+    requests.push_back({"hypercube 7", &oracle, nullptr, kNoNode});
+    expected.push_back(direct.diagnose(oracle));
+  }
+  std::vector<const LazyOracle*> lazies;
+  std::vector<DiagnosisResult> lazy_expected;
+  for (std::size_t k = 0; k < 8; ++k) {
+    lazies.push_back(&oracles.lazy(cube.graph, delta, k, rng));
+    lazy_expected.push_back(direct.diagnose(*lazies.back()));
+  }
+
+  constexpr std::size_t kPasses = 40;
+  std::vector<DiagnosisResult> diagnosed;
+  diagnosed.reserve(kPasses * lazies.size());
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::thread client([&] {
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+      for (const LazyOracle* oracle : lazies) {
+        diagnosed.push_back(engine.diagnose("hypercube 7", *oracle));
+        started.store(true);
+      }
+    }
+    done.store(true);
+  });
+  while (!started.load()) std::this_thread::yield();
+  for (std::size_t round = 0; round < 4 || !done.load(); ++round) {
+    const std::vector<DiagnosisResult> served = engine.serve(requests);
+    EXPECT_EQ(served.size(), requests.size());
+    for (std::size_t i = 0; i < std::min(served.size(), expected.size());
+         ++i) {
+      expect_bit_identical(expected[i], served[i], i);
+    }
+  }
+  client.join();
+  ASSERT_EQ(diagnosed.size(), kPasses * lazies.size());
+  for (std::size_t i = 0; i < diagnosed.size(); ++i) {
+    expect_bit_identical(lazy_expected[i % lazies.size()], diagnosed[i], i);
+  }
 }
 
 TEST(ParentRuleNames, RoundTripAndAliases) {
