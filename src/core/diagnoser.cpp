@@ -5,6 +5,7 @@
 #include <cassert>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 
 namespace mmdiag {
 
@@ -127,7 +128,7 @@ void Diagnoser::require_csr(const char* what) const {
 // The phase-1/2/3 driver, instantiated once per graph view.
 template <class GV>
 DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
-                                            const GV& g) {
+                                            const GV& g, ThreadPool* lanes) {
   oracle.reset_lookups();
   const Timer solve_timer;
   DiagnosisResult out;
@@ -165,14 +166,24 @@ DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
 
   // Phase 2: unrestricted run from the certified seed. Every member is
   // healthy (the seed is, and health propagates down the 0-tests) — no
-  // certificate is required, so the cheaper final rule applies.
+  // certificate is required, so the cheaper final rule applies. On the
+  // hypercube view a least-first run is pulled by the word, over `lanes`.
   [[maybe_unused]] const std::uint64_t before_final = oracle.lookups();
   builder_.set_rule(options_.final_rule);
-  const auto full = builder_.run(oracle, plan.seed_of(certified), delta_);
+  const Node seed = plan.seed_of(certified);
+  if (std::is_same_v<GV, ImplicitGraph> &&
+      options_.final_rule == ParentRule::kLeastFirst) {
+    const SetBuilderCounts full = builder_.run_pulled(oracle, seed, delta_,
+                                                      lanes);
+    out.final_members = full.member_count;
+    out.final_rounds = full.rounds;
+  } else {
+    const SetBuilderResult full = builder_.run(oracle, seed, delta_);
+    out.final_members = full.members.size();
+    out.final_rounds = full.rounds;
+  }
   assert(within_final_bound(oracle.lookups() - before_final, g.max_degree(),
-                            full.members.size()));
-  out.final_members = full.members.size();
-  out.final_rounds = full.rounds;
+                            out.final_members));
 
   // Phase 3: N(U_r) is exactly F (Theorem 1). On the success path U_r is
   // within δ of the whole graph, so scan the *complement*, one membership
@@ -214,15 +225,16 @@ DiagnosisResult Diagnoser::diagnose_impl_on(const SyndromeOracle& oracle,
   return out;
 }
 
-DiagnosisResult Diagnoser::diagnose(const SyndromeOracle& oracle) {
+DiagnosisResult Diagnoser::diagnose(const SyndromeOracle& oracle,
+                                    ThreadPool* lanes) {
   if (implicit_ != nullptr) {
     require_oracle_shape("Diagnoser", oracle, implicit_->num_nodes(),
                          implicit_->min_degree(), implicit_->max_degree());
-    return diagnose_impl_on(oracle, *implicit_);
+    return diagnose_impl_on(oracle, *implicit_, lanes);
   }
   require_oracle_shape("Diagnoser", oracle, graph_->num_nodes(),
                        graph_->min_degree(), graph_->max_degree());
-  return diagnose_impl_on(oracle, *graph_);
+  return diagnose_impl_on(oracle, *graph_, lanes);
 }
 
 // The cohort driver: the phase-1/2/3 structure of diagnose_impl_on with
@@ -263,7 +275,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
   const std::uint64_t live = sliced.full_mask();
   const PartitionPlan& plan = *partition_.plan;
 
-  std::array<SlicedLaneResult, BitSlicedOracle::kMaxLanes> lane_run;
+  std::array<SetBuilderCounts, BitSlicedOracle::kMaxLanes> lane_run;
   std::array<std::uint32_t, BitSlicedOracle::kMaxLanes> component_of{};
 
   // Phase 1, lockstep: each probe runs once for every not-yet-certified

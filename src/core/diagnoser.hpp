@@ -12,7 +12,12 @@
 //
 // Total cost O(Δ·N) time and at most (Δ-1)(Δ/2 + |U_r| - 1) syndrome
 // look-ups for the final run (§6) — recorded as E1 and E8 in
-// BENCH_paper.json.
+// BENCH_paper.json. On the hypercube's implicit view under the default
+// kLeastFirst final rule, phase 2 is SetBuilder::run_pulled, which builds
+// no member list and splits its rounds over the ThreadPool a caller
+// passes to diagnose() (DiagnosisEngine::diagnose passes its own, idle
+// while it holds serve()'s lock); every other final run is
+// SetBuilder::run. Results and look-ups are the same either way.
 #pragma once
 
 #include <algorithm>
@@ -120,8 +125,15 @@ class Diagnoser {
   /// Diagnose one syndrome. The oracle's look-up counter is reset first.
   /// Throws std::invalid_argument, before any look-up, when the oracle's
   /// graph differs from this solver's in node count or minimum or maximum
-  /// degree (require_oracle_shape, O(1)).
-  [[nodiscard]] DiagnosisResult diagnose(const SyndromeOracle& oracle);
+  /// degree (require_oracle_shape, O(1)). `lanes` splits an implicit
+  /// view's kLeastFirst final run (SetBuilder::run_pulled) over its lanes;
+  /// null runs it on the calling thread, and every other phase and view
+  /// ignores it. The oracle is then read from every lane at once, so it
+  /// must answer concurrent uncounted reads (SyndromeOracle::uncounted_test;
+  /// the table, lazy and fault-free oracles do), and the call must not come
+  /// from inside a parallel_for of `lanes`.
+  [[nodiscard]] DiagnosisResult diagnose(const SyndromeOracle& oracle,
+                                         ThreadPool* lanes = nullptr);
 
   /// Diagnose up to 64 materialised syndromes over this calibration in
   /// bitsliced lockstep (SetBuilder::run_sliced): probes, final runs and
@@ -148,7 +160,8 @@ class Diagnoser {
 
  private:
   template <class GV>
-  DiagnosisResult diagnose_impl_on(const SyndromeOracle& oracle, const GV& g);
+  DiagnosisResult diagnose_impl_on(const SyndromeOracle& oracle, const GV& g,
+                                   ThreadPool* lanes);
 
   void check_adopted_partition() const;
   void require_csr(const char* what) const;

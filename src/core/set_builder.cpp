@@ -2,10 +2,21 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <stdexcept>
 #include <type_traits>
 
+#include "util/thread_pool.hpp"
+
 namespace mmdiag {
+
+namespace {
+
+/// Word blocks per pool lane in a pulled round: dynamic scheduling evens
+/// out rounds whose frontier crowds one part of the id range.
+constexpr std::size_t kPullBlocksPerLane = 4;
+
+}  // namespace
 
 SetBuilder::SetBuilder(const Graph& g, ParentRule rule)
     : graph_(&g), rule_(rule) {
@@ -24,7 +35,7 @@ SetBuilder::SetBuilder(const ImplicitGraph& g, ParentRule rule)
   is_contributor_.resize(n);
   frontier_words_[0].assign((n + 63) / 64, 0u);
   frontier_words_[1].assign((n + 63) / 64, 0u);
-  parent_pos_of_.assign(n, 0u);
+  parent_dim_.assign(n, 0u);
 }
 
 void SetBuilder::require_csr(const char* what) const {
@@ -32,6 +43,78 @@ void SetBuilder::require_csr(const char* what) const {
     throw std::logic_error(std::string("Set_Builder: ") + what +
                            " requires a CSR graph, not an implicit view");
   }
+}
+
+void SetBuilder::start_run(Node u0) {
+  in_set_.clear();
+  is_contributor_.clear();
+  // The frontier bitmaps are clean on every normal exit (a push run zeroes
+  // words as it reads them and scrubs after a certify break; a pulled run
+  // zeroes both at its end), so a full fill is only owed when the previous
+  // run was abandoned mid-way — an oracle that threw between admissions.
+  if (!frontier_clean_) {
+    std::fill(frontier_words_[0].begin(), frontier_words_[0].end(), 0u);
+    std::fill(frontier_words_[1].begin(), frontier_words_[1].end(), 0u);
+  }
+  frontier_clean_ = false;
+  in_set_.insert(u0);
+  last_seed_ = u0;
+}
+
+template <class GV>
+void SetBuilder::record_parent([[maybe_unused]] const GV& g, Node v,
+                               Node parent, [[maybe_unused]] unsigned pos) {
+  if constexpr (std::is_same_v<GV, ImplicitGraph>) {
+    parent_dim_[v] = static_cast<std::uint8_t>(std::countr_zero(parent ^ v));
+  } else {
+    parent_pos_of_[v] = g.mirror_position(parent, pos);
+  }
+}
+
+template <class GV, class Eligible, class Admit>
+std::uint64_t SetBuilder::seed_round(const SyndromeOracle& oracle,
+                                     const TableOracle* table, const GV& g,
+                                     Node u0, const Eligible& eligible,
+                                     const Admit& admit) {
+  // A table serves the seed's rows whole where a row fits one word; the
+  // look-ups they serve are returned for one add_lookups() flush.
+  const bool word_rows = table != nullptr && g.max_degree() <= 64;
+  std::uint64_t row_served = 0;
+  const auto adj = g.neighbors(u0);
+  // Eligible neighbour positions (member scratch — no per-run allocation).
+  round1_pos_.clear();
+  for (unsigned p = 0; p < adj.size(); ++p) {
+    if (eligible(adj[p])) round1_pos_.push_back(p);
+  }
+  for (std::size_t a = 0; a < round1_pos_.size(); ++a) {
+    const unsigned pa = round1_pos_[a];
+    std::uint64_t row = 0;
+    bool have_row = false;
+    for (std::size_t b = a + 1; b < round1_pos_.size(); ++b) {
+      const unsigned pb = round1_pos_[b];
+      const Node va = adj[pa];
+      const Node vb = adj[pb];
+      // Once both endpoints are members the test adds no information.
+      if (in_set_.contains(va) && in_set_.contains(vb)) continue;
+      bool one;
+      if (word_rows) {
+        if (!have_row) {
+          row = table->row_bits(u0, pa);
+          have_row = true;
+        }
+        ++row_served;
+        one = (row >> pb) & 1;
+      } else {
+        one = table != nullptr ? table->test(u0, pa, pb)
+                               : oracle.test(u0, pa, pb, va, vb);
+      }
+      if (!one) {
+        if (in_set_.insert(va)) admit(va, pa);
+        if (in_set_.insert(vb)) admit(vb, pb);
+      }
+    }
+  }
+  return row_served;
 }
 
 // The scalar driver: one body for every oracle, instantiated once per graph
@@ -80,22 +163,8 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
     return table != nullptr ? table->test(u, i, j)
                             : oracle.test(u, i, j, v, w);
   };
-  // Look-ups served from packed rows, flushed to the oracle's counter once
-  // at the end — totals match the per-call path exactly.
-  std::uint64_t row_served = 0;
 
-  in_set_.clear();
-  is_contributor_.clear();
-  // The frontier bitmaps are clean by consumption on every normal exit
-  // (words zero as they are read; the certify-break path scrubs below), so
-  // a full fill is only owed when the previous run was abandoned mid-way —
-  // an oracle that threw between admissions.
-  if (!frontier_clean_) {
-    std::fill(frontier_words_[0].begin(), frontier_words_[0].end(), 0u);
-    std::fill(frontier_words_[1].begin(), frontier_words_[1].end(), 0u);
-  }
-  frontier_clean_ = false;
-
+  start_run(u0);
   SetBuilderResult result;
   const std::size_t member_hint =
       plan != nullptr ? static_cast<std::size_t>(plan->component_size())
@@ -104,62 +173,31 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
   result.parent.reserve(member_hint);
   result.members.push_back(u0);
   result.parent.push_back(kNoNode);
-  in_set_.insert(u0);
 
   // Flips each round: `fi` indexes the frontier being filled.
   unsigned fi = 0;
   std::size_t next_count = 0;
 
-  // `pos` is v's position in adj(parent); its mirror, parent's position in
-  // adj(v), is computed here from the admitted edge, once per member.
+  // `pos` is v's position in adj(parent), from which the view records t(v)
+  // once per member.
   auto add_member = [&](Node v, Node parent, unsigned pos) {
     result.members.push_back(v);
     result.parent.push_back(parent);
-    parent_pos_of_[v] = g.mirror_position(parent, pos, v);
+    record_parent(g, v, parent, pos);
     frontier_words_[fi][v >> 6] |= std::uint64_t{1} << (v & 63);
     ++next_count;
   };
 
   // ---- Round 1: U_1 from u0's pair tests. ----------------------------------
-  {
-    const auto adj = g.neighbors(u0);
-    // Eligible neighbour positions (member scratch — no per-run allocation).
-    round1_pos_.clear();
-    for (unsigned p = 0; p < adj.size(); ++p) {
-      if (eligible(adj[p])) round1_pos_.push_back(p);
-    }
-    for (std::size_t a = 0; a < round1_pos_.size(); ++a) {
-      const unsigned pa = round1_pos_[a];
-      std::uint64_t row = 0;
-      bool have_row = false;
-      for (std::size_t b = a + 1; b < round1_pos_.size(); ++b) {
-        const unsigned pb = round1_pos_[b];
-        const Node va = adj[pa];
-        const Node vb = adj[pb];
-        // Once both endpoints are members the test adds no information.
-        if (in_set_.contains(va) && in_set_.contains(vb)) continue;
-        bool one;
-        if (word_rows) {
-          if (!have_row) {
-            row = table->row_bits(u0, pa);
-            have_row = true;
-          }
-          ++row_served;
-          one = (row >> pb) & 1;
-        } else {
-          one = test(u0, pa, pb, va, vb);
-        }
-        if (!one) {
-          if (in_set_.insert(va)) add_member(va, u0, pa);
-          if (in_set_.insert(vb)) add_member(vb, u0, pb);
-        }
-      }
-    }
-    if (next_count > 0) {
-      is_contributor_.insert(u0);
-      result.contributors = 1;
-      result.rounds = 1;
-    }
+  // Look-ups served from packed rows, flushed to the oracle's counter once
+  // at the end — totals match the per-call path exactly.
+  std::uint64_t row_served =
+      seed_round(oracle, table, g, u0, eligible,
+                 [&](Node v, unsigned pos) { add_member(v, u0, pos); });
+  if (next_count > 0) {
+    is_contributor_.insert(u0);
+    result.contributors = 1;
+    result.rounds = 1;
   }
 
   // ---- Rounds i >= 2. -------------------------------------------------------
@@ -205,7 +243,6 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
         const Node u =
             static_cast<Node>((w << 6) + std::countr_zero(bits));
         bits &= bits - 1;
-        const unsigned parent_pos = parent_pos_of_[u];
 
         // Consult each eligible non-member neighbour against the parent
         // pivot. A table serves the whole pivot row as one read when the
@@ -217,7 +254,8 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
         std::uint64_t row = 0;
         bool have_row = false;
         bool contributed = false;
-        auto consult = [&](unsigned p, Node v, Node parent) {
+        auto consult = [&](unsigned p, Node v, Node parent,
+                           unsigned parent_pos) {
           bool one;
           if (deferred && word_rows) {
             if (!have_row) {
@@ -241,20 +279,21 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
         };
         if constexpr (std::is_same_v<GV, ImplicitGraph>) {
           // The non-members among u's neighbours come straight from
-          // in_set_'s words, and nothing is built when there are none (the
-          // parent is a member, so never a candidate). Candidates go in
-          // the view's ascending order — u's set bits by descending index,
-          // then its unset bits ascending — the order the CSR loop below
-          // walks, so admissions match it member for member.
+          // in_set_'s words, and nothing is computed when there are none
+          // (the parent is a member, so never a candidate). Candidates go
+          // in the view's ascending order — u's set bits by descending
+          // index, then its unset bits ascending — the order the CSR loop
+          // below walks, so admissions match it member for member.
           const std::uint32_t cand =
               g.clear_neighbor_dims(u, in_set_.words(), free_dims);
           if (cand != 0) {
-            const Node parent = g.neighbor(u, parent_pos);
+            const unsigned parent_dim = parent_dim_[u];
+            const Node parent = u ^ (Node{1} << parent_dim);
+            const unsigned parent_pos = g.dimension_position(u, parent_dim);
             auto visit = [&](unsigned d) {
               const Node v = u ^ (Node{1} << d);
               if (generic_plan && !eligible(v)) return;
-              consult(static_cast<unsigned>(g.neighbor_position(u, v)), v,
-                      parent);
+              consult(g.dimension_position(u, d), v, parent, parent_pos);
             };
             for (std::uint32_t m = cand & u; m != 0;) {
               const auto d = static_cast<unsigned>(31 - std::countl_zero(m));
@@ -266,6 +305,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
             }
           }
         } else {
+          const unsigned parent_pos = parent_pos_of_[u];
           const auto adj = g.neighbors(u);
           const Node parent = adj[parent_pos];
           for (unsigned p = 0; p < adj.size(); ++p) {
@@ -273,7 +313,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
             if (p == parent_pos || in_set_.contains(v) || !eligible(v)) {
               continue;
             }
-            consult(p, v, parent);
+            consult(p, v, parent, parent_pos);
           }
         }
         if (!deferred && contributed && is_contributor_.insert(u)) {
@@ -358,9 +398,181 @@ SetBuilderResult SetBuilder::run_restricted(const SyndromeOracle& oracle,
   return run_impl(oracle, *graph_, u0, delta, &plan, comp);
 }
 
+// The pulled run (DESIGN.md §2.1). Round 1 is the push loop's. From round 2
+// on, every non-member v of a membership word is a candidate when some
+// neighbour is in the frontier F, and walks its frontier neighbours in the
+// view's ascending order — its set bits by descending index, then its clear
+// bits ascending — consulting s_u(v, t(u)) for each and joining through the
+// first that reads 0. That is exactly the push loop's consult sequence for
+// v under kLeastFirst, so parents, rounds, contributors and look-ups agree.
+//
+// A word's 64 candidates walk in lockstep, one dimension at a time, their
+// frontier bits read from the same loads that found them
+// (ImplicitGraph::neighbor_words): dimensions from 6 up are bits of the
+// word index, so the same for all 64; dimensions 0-5 split the word by the
+// candidate's own bit. Candidates are independent within a round: a lane
+// reads the frontier (fixed for the round) and the parents of frontier
+// nodes (written in an earlier round), and writes only its own words of
+// the membership set and the next frontier, and the parent bytes of its
+// own nodes. Contributor bits are the exception — u's word belongs to
+// whichever lane holds u — so they are set atomically.
+SetBuilderCounts SetBuilder::run_pulled(const SyndromeOracle& oracle, Node u0,
+                                        unsigned delta, ThreadPool* lanes) {
+  if (implicit_ == nullptr) {
+    throw std::logic_error(
+        "Set_Builder: run_pulled requires the hypercube's implicit view, not "
+        "a CSR graph");
+  }
+  if (rule_ != ParentRule::kLeastFirst) {
+    throw std::logic_error("Set_Builder: run_pulled requires the " +
+                           to_string(ParentRule::kLeastFirst) +
+                           " rule, not " + to_string(rule_));
+  }
+  const ImplicitGraph& g = *implicit_;
+  if (u0 >= g.num_nodes()) throw std::invalid_argument("Set_Builder: bad seed");
+  const auto* table = dynamic_cast<const TableOracle*>(&oracle);
+
+  start_run(u0);
+  SetBuilderCounts out;
+  out.member_count = 1;
+  std::uint64_t admitted = 0;
+  std::uint64_t* const first = frontier_words_[0].data();
+  oracle.add_lookups(seed_round(oracle, table, g, u0,
+                                [](Node) { return true; },
+                                [&](Node v, unsigned pos) {
+                                  record_parent(g, v, u0, pos);
+                                  first[v >> 6] |= std::uint64_t{1}
+                                                   << (v & 63);
+                                  ++admitted;
+                                }));
+  if (admitted > 0) {
+    is_contributor_.insert(u0);
+    out.contributors = 1;
+    out.rounds = 1;
+  }
+
+  const std::span<std::uint64_t> member = in_set_.bulk_words();
+  const std::span<std::uint64_t> contributor = is_contributor_.bulk_words();
+  const std::size_t words = member.size();
+  // Q_1-Q_5 fill part of one word: the padding bits are no candidates.
+  const std::uint64_t live = g.num_nodes() >= 64
+                                 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << g.num_nodes()) - 1;
+  const unsigned n = g.max_degree();
+  const unsigned low = std::min(n, 6u);
+  // A cube of one word (Q_1-Q_6) makes one block: the calling thread
+  // pulls it without waking the pool.
+  const std::size_t blocks =
+      lanes != nullptr ? std::min(words, std::size_t{lanes->size()} *
+                                             kPullBlocksPerLane)
+                       : 1;
+  pull_tally_.assign(blocks > 1 ? lanes->size() : 1, PullTally{});
+  std::uint64_t lookups = 0;
+  unsigned fi = 0;  // frontier_words_[fi] holds the round's frontier
+
+  while (admitted > 0) {
+    out.member_count += admitted;
+    if (out.contributors > delta) {
+      out.all_healthy = true;
+      if (stop_on_certify_) break;
+    }
+    const std::span<const std::uint64_t> frontier = frontier_words_[fi];
+    std::uint64_t* const next = frontier_words_[fi ^ 1].data();
+
+    // Pulls words [begin, end), which no other lane writes. Every
+    // next-frontier word is assigned, so that buffer needs no clearing.
+    auto pull = [&](std::size_t begin, std::size_t end, PullTally& tally) {
+      std::array<std::uint64_t, 32> around;  // around[d]: F bits at v ^ 2^d
+      PullTally t;
+      for (std::size_t w = begin; w < end; ++w) {
+        std::uint64_t pending = ~member[w] & live;
+        std::uint64_t joined = 0;
+        if (pending != 0) {
+          pending &= g.neighbor_words(static_cast<Node>(w), frontier,
+                                      around.data());
+        }
+        const Node base = static_cast<Node>(w << 6);
+        // The candidates of `hits` consult their dimension-d neighbour u;
+        // those whose test reads 0 join through it.
+        auto step = [&](unsigned d, std::uint64_t hits) {
+          for (; hits != 0; hits &= hits - 1) {
+            const Node v = base + static_cast<Node>(std::countr_zero(hits));
+            const Node u = v ^ (Node{1} << d);
+            const unsigned parent_dim = parent_dim_[u];
+            ++t.lookups;
+            if (oracle.uncounted_test(u, g.dimension_position(u, d),
+                                      g.dimension_position(u, parent_dim), v,
+                                      u ^ (Node{1} << parent_dim))) {
+              continue;
+            }
+            const std::uint64_t bit = hits & (~hits + 1);
+            pending &= ~bit;
+            joined |= bit;
+            ++t.admitted;
+            parent_dim_[v] = static_cast<std::uint8_t>(d);
+            std::atomic_ref<std::uint64_t> word(contributor[u >> 6]);
+            const std::uint64_t ubit = std::uint64_t{1} << (u & 63);
+            if ((word.load(std::memory_order_relaxed) & ubit) == 0 &&
+                (word.fetch_or(ubit, std::memory_order_relaxed) & ubit) == 0) {
+              ++t.contributors;
+            }
+          }
+        };
+        // The walk's four legs, each candidate taking its own dimensions in
+        // order: the word index's set bits descending, the candidate's own
+        // set low bits descending, its clear low bits ascending, the word
+        // index's clear bits ascending.
+        for (unsigned d = n; pending != 0 && d-- > 6;) {
+          if ((w >> (d - 6)) & 1) step(d, pending & around[d]);
+        }
+        for (unsigned d = low; pending != 0 && d-- > 0;) {
+          step(d, pending & around[d] & ~ImplicitGraph::kDimensionClear[d]);
+        }
+        for (unsigned d = 0; pending != 0 && d < low; ++d) {
+          step(d, pending & around[d] & ImplicitGraph::kDimensionClear[d]);
+        }
+        for (unsigned d = 6; pending != 0 && d < n; ++d) {
+          if (((w >> (d - 6)) & 1) == 0) step(d, pending & around[d]);
+        }
+        next[w] = joined;
+        member[w] |= joined;
+      }
+      tally.admitted += t.admitted;
+      tally.contributors += t.contributors;
+      tally.lookups += t.lookups;
+    };
+
+    if (blocks > 1) {
+      lanes->parallel_for(blocks, [&](unsigned lane, std::size_t b) {
+        pull(words * b / blocks, words * (b + 1) / blocks, pull_tally_[lane]);
+      });
+    } else {
+      pull(0, words, pull_tally_[0]);
+    }
+    admitted = 0;
+    for (PullTally& tally : pull_tally_) {
+      admitted += tally.admitted;
+      out.contributors += tally.contributors;
+      lookups += tally.lookups;
+      tally = PullTally{};
+    }
+    if (admitted > 0) ++out.rounds;
+    fi ^= 1;
+  }
+
+  // Both bitmaps hold stale words now (the last frontier, and an old one
+  // behind a certify break).
+  std::fill(frontier_words_[0].begin(), frontier_words_[0].end(), 0u);
+  std::fill(frontier_words_[1].begin(), frontier_words_[1].end(), 0u);
+  frontier_clean_ = true;
+  if (out.contributors > delta) out.all_healthy = true;
+  oracle.add_lookups(lookups);
+  return out;
+}
+
 void SetBuilder::run_sliced(const BitSlicedOracle& oracle, Node u0,
                             unsigned delta, std::uint64_t active,
-                            SlicedLaneResult* out) {
+                            SetBuilderCounts* out) {
   run_sliced_impl(oracle, u0, delta, active, nullptr, 0, out);
 }
 
@@ -368,7 +580,7 @@ void SetBuilder::run_sliced_restricted(const BitSlicedOracle& oracle, Node u0,
                                        unsigned delta, std::uint64_t active,
                                        const PartitionPlan& plan,
                                        std::uint32_t comp,
-                                       SlicedLaneResult* out) {
+                                       SetBuilderCounts* out) {
   run_sliced_impl(oracle, u0, delta, active, &plan, comp, out);
 }
 
@@ -402,7 +614,7 @@ void SetBuilder::run_sliced_restricted(const BitSlicedOracle& oracle, Node u0,
 void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
                                  unsigned delta, std::uint64_t active,
                                  const PartitionPlan* plan, std::uint32_t comp,
-                                 SlicedLaneResult* out) {
+                                 SetBuilderCounts* out) {
   require_csr("run_sliced");
   const Graph& g = *graph_;
   if (u0 >= g.num_nodes()) throw std::invalid_argument("Set_Builder: bad seed");
@@ -418,7 +630,7 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
         "Set_Builder: active mask names lanes the oracle does not have");
   }
   for (std::uint64_t m = active; m != 0; m &= m - 1) {
-    out[std::countr_zero(m)] = SlicedLaneResult{};
+    out[std::countr_zero(m)] = SetBuilderCounts{};
   }
   if (active == 0) return;
 
@@ -471,7 +683,7 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
   std::array<std::uint64_t, kPlanes> contrib_planes{};
   std::array<std::uint64_t, kPlanes> member_planes{};
   auto vadd = [out](std::array<std::uint64_t, kPlanes>& planes,
-                    std::size_t SlicedLaneResult::*slot,
+                    std::size_t SetBuilderCounts::*slot,
                     std::uint64_t lanes) {
     std::uint64_t carry = lanes;
     for (auto& plane : planes) {
@@ -485,7 +697,7 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
     }
   };
   auto vfold = [out](std::array<std::uint64_t, kPlanes>& planes,
-                     std::size_t SlicedLaneResult::*slot) {
+                     std::size_t SetBuilderCounts::*slot) {
     for (unsigned k = 0; k < kPlanes; ++k) {
       for (std::uint64_t m = planes[k]; m != 0; m &= m - 1) {
         out[std::countr_zero(m)].*slot += std::uint64_t{1} << k;
@@ -498,7 +710,7 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
     const std::uint64_t newly = lanes & ~s_contrib_[u];
     if (newly == 0) return;
     s_contrib_[u] |= newly;
-    vadd(contrib_planes, &SlicedLaneResult::contributors, newly);
+    vadd(contrib_planes, &SetBuilderCounts::contributors, newly);
   };
 
   auto admit = [&](Node v, std::uint64_t lanes, std::uint32_t parent_pos) {
@@ -521,13 +733,13 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
     s_frontier_[fi][v] |= lanes;
     s_frontier_union_[fi][v >> 6] |= std::uint64_t{1} << (v & 63);
     admitted_round |= lanes;
-    vadd(member_planes, &SlicedLaneResult::member_count, lanes);
+    vadd(member_planes, &SetBuilderCounts::member_count, lanes);
   };
 
   // Seed: member of every active lane.
   s_touched_.push_back(u0);
   s_member_[u0] = active;
-  vadd(member_planes, &SlicedLaneResult::member_count, active);
+  vadd(member_planes, &SetBuilderCounts::member_count, active);
 
   const bool deferred = rule_ != ParentRule::kLeastFirst;
 
@@ -577,7 +789,7 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
     // Top-of-round certificate check, as in run_impl. all_healthy itself
     // is settled by the post-loop sweep; the mask only drives early stop.
     if (stop_on_certify_) {
-      vfold(contrib_planes, &SlicedLaneResult::contributors);
+      vfold(contrib_planes, &SetBuilderCounts::contributors);
       for (std::uint64_t m = prev_admitted & ~stopped; m != 0; m &= m - 1) {
         const unsigned L = static_cast<unsigned>(std::countr_zero(m));
         if (out[L].contributors > delta) stopped |= std::uint64_t{1} << L;
@@ -755,8 +967,8 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
     s_frontier_union_[1][v >> 6] = 0;
   }
 
-  vfold(contrib_planes, &SlicedLaneResult::contributors);
-  vfold(member_planes, &SlicedLaneResult::member_count);
+  vfold(contrib_planes, &SetBuilderCounts::contributors);
+  vfold(member_planes, &SetBuilderCounts::member_count);
   for (std::uint64_t m = active; m != 0; m &= m - 1) {
     const unsigned L = static_cast<unsigned>(std::countr_zero(m));
     if (out[L].contributors > delta) out[L].all_healthy = true;

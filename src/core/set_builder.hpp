@@ -41,17 +41,27 @@
 //     the per-round std::sort of the frontier is gone. A restricted run
 //     scans only the word window its frontier spans, so a probe of a
 //     component that is a contiguous id range (the prefix plans) costs
-//     O(Δ·|U_r|), not O(N). The position of a member's tree parent in its
-//     own adjacency list is recorded at admission (one
-//     mirror_position(parent, pos, member) call per member, answered from
-//     the admitted edge), so rounds >= 2 never re-search for the parent.
+//     O(Δ·|U_r|), not O(N). Each member's tree parent is recorded at
+//     admission, so rounds >= 2 never re-search for it: on CSR as its
+//     position in the member's adjacency (Graph::mirror_position, one
+//     table read), on the hypercube view as the dimension that separates
+//     them (one byte per node, 1 MiB at Q20 where positions took 4).
 //   - On the hypercube's implicit view, rounds >= 2 build no neighbour
 //     list: a frontier node's non-member neighbours are read from the
 //     membership words (ImplicitGraph::clear_neighbor_dims: one load for
 //     dimensions 0-5, one per higher dimension, none for a dimension a
-//     prefix plan makes ineligible), and the parent and each candidate's
-//     position are computed only when a candidate exists, in the view's
-//     ascending order, so admissions match the CSR loop member for member.
+//     prefix plan makes ineligible), and the parent (one bit flip) and the
+//     positions an oracle read needs are computed only when a candidate
+//     exists, in the view's ascending order, so admissions match the CSR
+//     loop member for member.
+//   - The unrestricted kLeastFirst run on the hypercube view — the final
+//     run of every implicit solve — has a second form, run_pulled: each
+//     round walks the membership words and pulls a word's 64 candidates
+//     at once from the frontier's words (ImplicitGraph::neighbor_words),
+//     each candidate consulting its frontier neighbours in ascending order
+//     up to its first 0-test. Candidates are independent, so word blocks
+//     split over a ThreadPool; each consults exactly the pairs the push
+//     loop does (DESIGN.md §2.1), and the run returns counts only.
 //   - A materialised table (TableOracle, recognised by one dynamic_cast per
 //     run) serves a whole (node, pivot) syndrome row as one packed 64-bit
 //     read; the consulted pairs are then register bit tests, charged in
@@ -63,10 +73,12 @@
 //     hot loop's working set L1-resident; restricted probes resolve
 //     prefix-plan eligibility with an inline shift instead of a virtual
 //     call per neighbour.
-//   - All scratch is member state with cheap clears; runs allocate nothing
-//     beyond the returned members/parent arrays, reserved once at their
-//     bound: the component size for a restricted run, num_nodes() for an
-//     unrestricted one, so even a fresh builder's final run never regrows.
+//   - All scratch is member state with cheap clears; run/run_restricted
+//     allocate nothing beyond the returned members/parent arrays, reserved
+//     once at their bound: the component size for a restricted run,
+//     num_nodes() for an unrestricted one, so even a fresh builder's final
+//     run never regrows. run_pulled returns no arrays: U_r stays readable
+//     through last_set_words() and each parent through last_parent().
 //
 // Row reads and per-pair reads execute the same admission logic and charge
 // the same look-ups, so members, trees, rounds, contributors AND look-up
@@ -93,6 +105,8 @@
 
 namespace mmdiag {
 
+class ThreadPool;
+
 // ParentRule and its name helpers live in util/enum_names.hpp, the shared
 // home of the library's enum <-> string tables.
 
@@ -104,11 +118,12 @@ struct SetBuilderResult {
   std::vector<Node> parent;      // parent[i] = t(members[i]); root -> kNoNode
 };
 
-/// Per-lane outcome of a bitsliced cohort run (SetBuilder::run_sliced) —
-/// the scalar SetBuilderResult minus the materialised member/parent
-/// vectors: cohort callers read membership through sliced_member_mask,
-/// which costs nothing to produce for 64 lanes at once.
-struct SlicedLaneResult {
+/// The counts of a run that materialises no member list — the scalar
+/// SetBuilderResult minus the member/parent vectors. A bitsliced cohort
+/// run (SetBuilder::run_sliced) reports one per lane, read back through
+/// sliced_member_mask; a pulled run (SetBuilder::run_pulled) reports one,
+/// read back through last_set_words() and last_parent().
+struct SetBuilderCounts {
   bool all_healthy = false;
   unsigned rounds = 0;
   std::size_t contributors = 0;
@@ -134,6 +149,20 @@ class SetBuilder {
                                   unsigned delta, const PartitionPlan& plan,
                                   std::uint32_t comp);
 
+  /// run() on the hypercube view under kLeastFirst, with each round pulled
+  /// a membership word at a time (DESIGN.md §2.1) and its word blocks
+  /// split over `lanes` (null, or a one-lane pool: the calling thread).
+  /// U_r, every parent, the rounds, contributors, certificate and counted
+  /// look-ups equal run()'s; only the discovery-order lists are not built.
+  /// Throws std::logic_error on a CSR builder or under another rule. The
+  /// oracle is read from every lane at once through its uncounted
+  /// endpoint read (SyndromeOracle::uncounted_test) and charged once at
+  /// the end. A throw from any lane propagates after the round drains;
+  /// the builder stays usable. Not reentrant on one pool: never call it
+  /// from inside a parallel_for of `lanes`.
+  SetBuilderCounts run_pulled(const SyndromeOracle& oracle, Node u0,
+                              unsigned delta, ThreadPool* lanes = nullptr);
+
   /// Bitsliced cohort run: executes run()'s admission logic for every lane
   /// of `oracle` named in `active` (bit L = lane L) in lockstep — one
   /// instruction stream drives up to 64 syndromes. `out` must have room
@@ -142,13 +171,13 @@ class SetBuilder {
   /// oracle.charge) are bit-identical to a scalar run over that lane
   /// alone. Requires max_degree() <= 64 (word-wide rows).
   void run_sliced(const BitSlicedOracle& oracle, Node u0, unsigned delta,
-                  std::uint64_t active, SlicedLaneResult* out);
+                  std::uint64_t active, SetBuilderCounts* out);
 
   /// run_sliced restricted to component `comp` of `plan`.
   void run_sliced_restricted(const BitSlicedOracle& oracle, Node u0,
                              unsigned delta, std::uint64_t active,
                              const PartitionPlan& plan, std::uint32_t comp,
-                             SlicedLaneResult* out);
+                             SetBuilderCounts* out);
 
   /// Lane-membership mask of the most recent sliced run: bit L set iff v
   /// is in lane L's U_r. Valid until the next sliced run on this builder.
@@ -168,6 +197,15 @@ class SetBuilder {
     return in_set_.words();
   }
 
+  /// t(v) in the most recent run, run_restricted or run_pulled: the
+  /// parent a member joined through, or kNoNode for the seed and for a
+  /// node outside U_r (valid until the next run).
+  [[nodiscard]] Node last_parent(Node v) const noexcept {
+    if (v == last_seed_ || !in_set_.contains(v)) return kNoNode;
+    return implicit_ != nullptr ? v ^ (Node{1} << parent_dim_[v])
+                                : graph_->neighbor(v, parent_pos_of_[v]);
+  }
+
   /// If true, stop growing as soon as the certificate fires (the paper
   /// builds to the fixpoint; this is a probe-phase optimisation measured as
   /// E12 in BENCH_paper.json). Default false = paper-faithful.
@@ -182,7 +220,7 @@ class SetBuilder {
  private:
   /// A 0-test admission candidate of one deferred-join round. pos is
   /// child's position in parent's adjacency list; admission turns it into
-  /// the mirror position, so candidates that lose pay nothing for it.
+  /// the recorded parent, so candidates that lose pay nothing for it.
   struct ZeroEdge {
     Node parent;
     Node child;
@@ -203,9 +241,24 @@ class SetBuilder {
                             unsigned delta, const PartitionPlan* plan,
                             std::uint32_t comp);
 
+  /// Clears the previous run's scratch and admits the seed.
+  void start_run(Node u0);
+
+  /// Round 1, shared by both scalar forms: u0's pair tests over the
+  /// eligible neighbours, admit(v, pos) for each member, v at position pos
+  /// of adj(u0). Returns the look-ups served from packed table rows.
+  template <class GV, class Eligible, class Admit>
+  std::uint64_t seed_round(const SyndromeOracle& oracle,
+                           const TableOracle* table, const GV& g, Node u0,
+                           const Eligible& eligible, const Admit& admit);
+
+  /// Records t(v) = parent, v at position pos of adj(parent).
+  template <class GV>
+  void record_parent(const GV& g, Node v, Node parent, unsigned pos);
+
   void run_sliced_impl(const BitSlicedOracle& oracle, Node u0, unsigned delta,
                        std::uint64_t active, const PartitionPlan* plan,
-                       std::uint32_t comp, SlicedLaneResult* out);
+                       std::uint32_t comp, SetBuilderCounts* out);
 
   void require_csr(const char* what) const;
 
@@ -213,7 +266,8 @@ class SetBuilder {
   const ImplicitGraph* implicit_ = nullptr;  // implicit_ is non-null
   ParentRule rule_;
   bool stop_on_certify_ = false;
-  bool frontier_clean_ = true;  // bitmaps all-zero (see run_impl)
+  bool frontier_clean_ = true;  // bitmaps all-zero (see start_run)
+  Node last_seed_ = kNoNode;
 
   // Scratch reused across runs. Membership lives in packed bitsets (one
   // bit per node, so the hot loop's working set stays L1-resident) whose
@@ -222,9 +276,21 @@ class SetBuilder {
   DirtyBitset in_set_;
   DirtyBitset is_contributor_;
   std::vector<std::uint64_t> frontier_words_[2];  // node-indexed bitmaps
-  std::vector<std::uint32_t> parent_pos_of_;  // t(v)'s position in adj(v)
+  // t(v) of each member: its position in adj(v) on CSR, the dimension
+  // v ^ t(v) sets on the hypercube view; only the view's own is sized.
+  std::vector<std::uint32_t> parent_pos_of_;
+  std::vector<std::uint8_t> parent_dim_;
   std::vector<unsigned> round1_pos_;  // eligible seed-adjacency positions
   std::vector<ZeroEdge> zero_edges_;  // deferred-join round buffer
+
+  /// One pool lane's counts over the blocks it pulled in one round; a
+  /// cache line each, so lanes never write a shared line.
+  struct alignas(64) PullTally {
+    std::uint64_t admitted = 0;
+    std::uint64_t contributors = 0;
+    std::uint64_t lookups = 0;
+  };
+  std::vector<PullTally> pull_tally_;  // one per lane of run_pulled's pool
 
   // Sliced-run scratch: per-node *lane masks* replace the scalar path's
   // per-run bitsets (bit L of s_member_[v] = v ∈ lane L's U_r, and so on),

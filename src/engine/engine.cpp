@@ -162,11 +162,12 @@ std::shared_ptr<const Calibration> DiagnosisEngine::calibration(
 DiagnosisResult DiagnosisEngine::diagnose(const std::string& spec,
                                           const SyndromeOracle& oracle) {
   const std::lock_guard<std::mutex> serve_lock(serve_mu_);
-  return solve(0, EngineRequest{spec, &oracle});
+  return solve(0, EngineRequest{spec, &oracle}, &pool_);
 }
 
 DiagnosisResult DiagnosisEngine::solve(unsigned lane,
-                                       const EngineRequest& request) {
+                                       const EngineRequest& request,
+                                       ThreadPool* lanes) {
   DiagnosisResult out;
   if (request.oracle != nullptr && request.directed != nullptr) {
     out.failure_reason = "request carries both an MM* and a directed oracle";
@@ -200,7 +201,7 @@ DiagnosisResult DiagnosisEngine::solve(unsigned lane,
   out = request.directed != nullptr
             ? run_directed(*driver.directed, cal->graph, *request.directed,
                            request.local_node)
-            : driver.diagnoser->diagnose(*request.oracle);
+            : driver.diagnoser->diagnose(*request.oracle, lanes);
   out.calibration_reused = reused;
   out.setup_seconds = setup_seconds;
   return out;
@@ -302,7 +303,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
         }
         const std::size_t i = plan.scalar[item - plan.cohorts.size()];
         try {
-          results[i] = solve(lane, requests[i]);
+          results[i] = solve(lane, requests[i], nullptr);
         } catch (const std::exception& e) {
           // A malformed or unsupported request fails alone.
           results[i] = DiagnosisResult{};

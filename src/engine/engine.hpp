@@ -121,8 +121,11 @@ class DiagnosisEngine {
   /// Diagnose one MM* syndrome on serve()'s request path, with lane 0's
   /// cached Diagnoser. Takes serve()'s lock, so calls are serialised with
   /// serve() and with each other: safe from any thread, never parallel
-  /// (serve() is the concurrent entry point). Lane 0's solver stays
-  /// allocated between calls (about 4.6 MiB of Set_Builder scratch at
+  /// (serve() is the concurrent entry point). The pool is idle while the
+  /// lock is held, so an implicit calibration's final run is split over
+  /// every lane of it (Diagnoser::diagnose, SetBuilder::run_pulled); the
+  /// oracle is then read from those lanes at once. Lane 0's solver stays
+  /// allocated between calls (about 1.6 MiB of Set_Builder scratch at
   /// hypercube 20) until the lane prunes drivers of evicted calibrations.
   /// Fills the result's calibration_reused/setup_seconds split. Throws what
   /// serve() reports as failed results: std::invalid_argument on an unknown
@@ -221,8 +224,11 @@ class DiagnosisEngine {
   /// under the request's model, then the MM* solve or run_directed, with
   /// the calibration_reused/setup_seconds stamps. Setup and solver
   /// exceptions propagate; serve() turns them into failed results. The
-  /// caller holds serve_mu_ or is lane `lane` inside serve().
-  DiagnosisResult solve(unsigned lane, const EngineRequest& request);
+  /// caller holds serve_mu_ or is lane `lane` inside serve(). `lanes` is
+  /// handed to Diagnoser::diagnose: diagnose() passes the idle pool_, and
+  /// serve()'s items pass nothing, since parallel_for is not reentrant.
+  DiagnosisResult solve(unsigned lane, const EngineRequest& request,
+                        ThreadPool* lanes);
 
   std::mutex serve_mu_;  // parallel_for is not reentrant; lane 0 is shared
   /// lane_scratch_[lane] maps calibration -> that lane's driver; touched

@@ -403,8 +403,9 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
   if (reference) {
     check_result(report, "seq-spread", *reference, truth, c);
     // Implicit-graph voice, on hypercube cases: the same case through the
-    // closed-form adjacency. The implicit view enumerates neighbours in CSR
-    // order, so faults, look-ups and probes must all match the materialised
+    // closed-form adjacency, its final run pulled over the context's two
+    // lanes. The implicit view enumerates neighbours in CSR order, so
+    // faults, look-ups and probes must all match the materialised
     // reference bit for bit — any drift is an adjacency-formula bug.
     if (ImplicitGraph::supports(*s.spread->topology)) {
       try {
@@ -413,7 +414,7 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
         const ImplicitLazyOracle oracle(iview, faults, c.behavior,
                                         c.behavior_seed);
         check_dispatch_identical(report, "seq-spread-implicit", *reference,
-                                 diagnoser.diagnose(oracle));
+                                 diagnoser.diagnose(oracle, &ctx.lanes()));
       } catch (const std::exception& e) {
         report.divergences.push_back(
             {"seq-spread-implicit", std::string("driver threw: ") + e.what()});

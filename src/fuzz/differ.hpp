@@ -4,9 +4,9 @@
 // behaviour, seed) is served lazily, ExactSolver::diagnose() provides the
 // ground truth, and every driver configuration the library ships — both
 // probe parent rules, stop_probe_on_certify on and off, the implicit view
-// (hypercube cases) and the bitsliced cohort (both bit-identical to the
-// sequential reference down to the look-up counts) — must agree with it
-// exactly:
+// (hypercube cases, its final run split over two lanes) and the bitsliced
+// cohort (both bit-identical to the sequential reference down to the
+// look-up counts) — must agree with it exactly:
 //
 //   |F| <= delta  — every configuration must succeed and return F (the
 //                   paper's worst-case guarantee, which calibration plus
@@ -38,6 +38,7 @@
 #include "fuzz/fuzz_case.hpp"
 #include "graph/graph.hpp"
 #include "topology/topology.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mmdiag {
 
@@ -67,6 +68,11 @@ class FuzzContext {
 
   [[nodiscard]] DiagnosisEngine& engine() noexcept { return engine_; }
 
+  /// Two lanes held for the whole run: the implicit voice splits its final
+  /// run over them (SetBuilder::run_pulled), so every fuzz smoke, the
+  /// sanitizer builds' included, drives the pulled run's lanes.
+  [[nodiscard]] ThreadPool& lanes() noexcept { return lanes_; }
+
  private:
   static EngineOptions engine_options();
 
@@ -76,6 +82,7 @@ class FuzzContext {
   /// uncertifiable" answer.
   DiagnosisEngine engine_;
   std::map<std::pair<std::string, unsigned>, FuzzSetup> cache_;
+  ThreadPool lanes_{2};
 };
 
 enum class Sabotage : std::uint8_t {

@@ -61,13 +61,6 @@ class Graph {
     return mirror_pos_[offsets_[u] + p];
   }
 
-  /// The GraphView form, for a caller holding v = neighbor(u, p): the
-  /// table answers from (u, p) alone.
-  [[nodiscard]] unsigned mirror_position(Node u, unsigned p,
-                                         Node /*v*/) const noexcept {
-    return mirror_position(u, p);
-  }
-
   /// All mirror positions of u, aligned with neighbors(u).
   [[nodiscard]] std::span<const std::uint32_t> mirror_positions(Node u) const noexcept {
     if (offsets_.size() <= 1) return {};

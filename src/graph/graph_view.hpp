@@ -7,10 +7,10 @@
 // two views consult identical (node, position) syndrome bits and therefore
 // produce bit-identical results and look-up counts.
 //
-// Mirror positions are answered one edge at a time, from the edge the
-// solver admits: it passes the neighbour it already holds, so a view never
-// re-derives that node, and the solver pays for one mirror per member it
-// admits, not Δ per node it scans.
+// How a solver records a member's tree parent is the view's own business:
+// the CSR Graph answers mirror positions from its table, and the hypercube
+// view needs none, because a parent is one bit flip away (Set_Builder
+// stores its dimension).
 #pragma once
 
 #include <concepts>
@@ -30,8 +30,6 @@ concept GraphView = requires(const G& g, Node u, Node v, unsigned p) {
   { g.neighbors(u).size() } -> std::convertible_to<std::size_t>;
   { g.neighbor(u, p) } -> std::convertible_to<Node>;
   { g.neighbor_position(u, v) } -> std::convertible_to<int>;
-  // u's position in adj(v), where v = neighbor(u, p) is held by the caller.
-  { g.mirror_position(u, p, v) } -> std::convertible_to<unsigned>;
   { g.memory_bytes() } -> std::convertible_to<std::uint64_t>;
 };
 

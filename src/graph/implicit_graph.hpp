@@ -11,14 +11,14 @@
 // faster on its CSR, so the constructors reject them.
 //
 // neighbors() returns a small by-value array rather than a span into
-// storage; the solver templates consume either shape identically. A mirror
-// position is neighbor_position(v, u) on the neighbour v the caller already
-// holds. Because every neighbour is a single-bit flip, a node-indexed
-// bitmap answers "which of u's neighbours are in the set" from its words
-// alone (clear_neighbor_dims): one load of u's own word for dimensions 0-5
-// and one load per higher dimension, with no neighbour list built. Bit
-// counts use an inline branch-free count rather than std::popcount, which
-// at the baseline x86-64 target compiles to a libgcc call. No mutable
+// storage; the solver templates consume either shape identically. Because
+// every neighbour is a single-bit flip, a node-indexed bitmap answers
+// "which of u's neighbours are in the set" from its words alone
+// (clear_neighbor_dims): one load of u's own word for dimensions 0-5 and
+// one load per higher dimension, with no neighbour list built. The same
+// loads answer it for a whole word of 64 nodes at once (neighbor_words).
+// Bit counts use an inline branch-free count rather than std::popcount,
+// which at the baseline x86-64 target compiles to a libgcc call. No mutable
 // state: the view is safe to share across the engine's worker threads.
 #pragma once
 
@@ -105,13 +105,19 @@ class ImplicitGraph {
   [[nodiscard]] int neighbor_position(Node u, Node v) const noexcept {
     const Node d = u ^ v;
     if (d == 0 || (d & (d - 1)) != 0 || d > mask_) return -1;
-    const auto i = static_cast<unsigned>(std::countr_zero(d));
-    if ((u & d) != 0) {
-      // Set bit i: preceded in the ascending order by the set bits above it.
-      return static_cast<int>(bit_count(u >> (i + 1)));
+    return static_cast<int>(
+        dimension_position(u, static_cast<unsigned>(std::countr_zero(d))));
+  }
+
+  /// Position of u ^ 2^d in u's ascending adjacency. Precondition: d < n.
+  [[nodiscard]] unsigned dimension_position(Node u, unsigned d) const noexcept {
+    const Node bit = Node{1} << d;
+    if ((u & bit) != 0) {
+      // Set bit d: preceded in the ascending order by the set bits above it.
+      return bit_count(u >> d >> 1);
     }
-    // Unset bit i: preceded by all set bits plus the unset bits below it.
-    return static_cast<int>(bit_count(u) + i - bit_count(u & (d - 1)));
+    // Unset bit d: preceded by all set bits plus the unset bits below it.
+    return bit_count(u) + d - bit_count(u & (bit - 1));
   }
 
   /// The dimensions d < k (bit d = the neighbour u ^ 2^d) whose
@@ -141,15 +147,35 @@ class ImplicitGraph {
     return (high << 6) | (low & ((std::uint32_t{1} << std::min(k, 6u)) - 1));
   }
 
-  /// u's position in adj(v). Precondition: v = neighbor(u, p). Throws
-  /// std::logic_error when v is not a neighbour of u.
-  [[nodiscard]] unsigned mirror_position(Node u, unsigned /*p*/,
-                                         Node v) const {
-    const int pos = neighbor_position(v, u);
-    if (pos < 0) {
-      throw std::logic_error("ImplicitGraph: mirror query on a non-edge");
+  /// Bit b of kDimensionClear[d] is set iff bit d of b is clear: the nodes
+  /// of a word whose dimension-d neighbour (d < 6) lies above them.
+  static constexpr std::uint64_t kDimensionClear[6] = {
+      0x5555555555555555u, 0x3333333333333333u, 0x0F0F0F0F0F0F0F0Fu,
+      0x00FF00FF00FF00FFu, 0x0000FFFF0000FFFFu, 0x00000000FFFFFFFFu};
+
+  /// The word-level form of clear_neighbor_dims, for the 64 nodes of word
+  /// `word` of `words`, a node-indexed bitmap of num_nodes() bits: out[d]
+  /// gets, at bit b, the bitmap's bit of node (64·word + b) ^ 2^d, for every
+  /// d < n. Dimensions 0-5 are swaps inside the word's own bits; each
+  /// higher dimension is one load of word ^ 2^(d-6). Returns the OR of
+  /// out[0..n), the nodes of the word with any neighbour in the bitmap.
+  [[nodiscard]] std::uint64_t neighbor_words(
+      Node word, std::span<const std::uint64_t> words,
+      std::uint64_t* out) const noexcept {
+    const std::uint64_t own = words[word];
+    std::uint64_t any = 0;
+    const unsigned low = std::min(n_, 6u);
+    for (unsigned d = 0; d < low; ++d) {
+      const unsigned s = 1u << d;
+      const std::uint64_t below = kDimensionClear[d];
+      out[d] = ((own & below) << s) | ((own >> s) & below);
+      any |= out[d];
     }
-    return static_cast<unsigned>(pos);
+    for (unsigned d = 6; d < n_; ++d) {
+      out[d] = words[word ^ (Node{1} << (d - 6))];
+      any |= out[d];
+    }
+    return any;
   }
 
   /// The view's whole footprint — contrast with Graph::memory_bytes().

@@ -64,6 +64,20 @@ class SyndromeOracle {
     return endpoint_test_impl(u, i, j, v, w);
   }
 
+  /// The outcome test(u, i, j, v, w) returns, deliberately *uncounted*,
+  /// like TableOracle::row_bits: the counter is one unsynchronised word,
+  /// so a reader that splits one run over threads (SetBuilder::run_pulled)
+  /// reads through here, tallies the pairs it consults per thread and
+  /// records them once via add_lookups(), keeping the counter
+  /// bit-identical to the per-pair path. The table, lazy and fault-free
+  /// oracles compute outcomes from immutable state, so concurrent reads of
+  /// one of them are safe; OverlayOracle is not (it forwards to its inner
+  /// oracle's counted read), and churn never pulls a run.
+  [[nodiscard]] bool uncounted_test(Node u, unsigned i, unsigned j, Node v,
+                                    Node w) const {
+    return endpoint_test_impl(u, i, j, v, w);
+  }
+
   [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
   void reset_lookups() const noexcept { lookups_ = 0; }
 

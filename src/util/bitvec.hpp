@@ -8,6 +8,7 @@
 // costs O(Δ·|U_r|) rather than O(N).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -107,10 +108,16 @@ class DirtyBitset {
     words_.assign((n + 63) / 64, 0u);
     dirty_.clear();
     dirty_.reserve(words_.size());
+    all_dirty_ = false;
   }
 
   void clear() noexcept {
-    for (const std::uint32_t w : dirty_) words_[w] = 0;
+    if (all_dirty_) {
+      std::fill(words_.begin(), words_.end(), 0u);
+      all_dirty_ = false;
+    } else {
+      for (const std::uint32_t w : dirty_) words_[w] = 0;
+    }
     dirty_.clear();
   }
 
@@ -139,9 +146,19 @@ class DirtyBitset {
     return words_;
   }
 
+  /// The same words for a writer that sets bits a word at a time (from
+  /// several threads, each owning its words or updating atomically):
+  /// every word then counts as dirtied, and the next clear() zeroes them
+  /// all. Bits past the resized length must stay clear.
+  [[nodiscard]] std::span<std::uint64_t> bulk_words() noexcept {
+    all_dirty_ = true;
+    return words_;
+  }
+
  private:
   std::vector<std::uint64_t> words_;
   std::vector<std::uint32_t> dirty_;  // indices of nonzero words
+  bool all_dirty_ = false;            // bulk_words() handed out since clear()
 };
 
 /// A set over [0, n) supporting O(1) insert/lookup and O(1) bulk clear via

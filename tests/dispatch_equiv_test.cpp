@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "test_util.hpp"
 #include "topology/partition.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mmdiag {
 namespace {
@@ -354,7 +357,9 @@ TEST(DispatchEquivalence, CohortRejectsBadWidthsAndNullLanes) {
 
 /// Runs `run` on a CSR builder and on an implicit builder, each against its
 /// own oracle, and demands identical runs: members in discovery order,
-/// parents, rounds, contributors, the certificate and look-ups. `what`
+/// parents, rounds, contributors, the certificate and look-ups. Each
+/// builder's last_parent must also read back its own run's parent list,
+/// from the CSR position or the hypercube dimension it recorded. `what`
 /// names the run in a failure message.
 template <class Run, class What>
 void expect_same_run(SetBuilder& csr, const SyndromeOracle& csr_oracle,
@@ -365,6 +370,18 @@ void expect_same_run(SetBuilder& csr, const SyndromeOracle& csr_oracle,
   const std::uint64_t expected_lookups = csr_oracle.lookups();
   imp_oracle.reset_lookups();
   const SetBuilderResult actual = run(imp, imp_oracle);
+  std::size_t unread_parents = 0;
+  for (std::size_t i = 0; i < expected.members.size(); ++i) {
+    if (csr.last_parent(expected.members[i]) != expected.parent[i]) {
+      ++unread_parents;
+    }
+  }
+  for (std::size_t i = 0; i < actual.members.size(); ++i) {
+    if (imp.last_parent(actual.members[i]) != actual.parent[i]) {
+      ++unread_parents;
+    }
+  }
+  EXPECT_EQ(unread_parents, 0u) << what();
   if (expected.members == actual.members && expected.parent == actual.parent &&
       expected.rounds == actual.rounds &&
       expected.contributors == actual.contributors &&
@@ -425,13 +442,78 @@ void expect_runs_match(const Graph& graph, const ImplicitGraph& iview,
   }
 }
 
+/// The state a pulled run leaves behind and reports, against a push run's
+/// (SetBuilder::run) on the same view: the membership words, every
+/// member's last_parent, and the counts and look-ups.
+void expect_same_pulled_run(const SetBuilder& push,
+                            const SetBuilderResult& expected,
+                            std::uint64_t expected_lookups,
+                            const SetBuilder& pulled,
+                            const SetBuilderCounts& actual,
+                            std::uint64_t actual_lookups,
+                            const std::string& what) {
+  EXPECT_EQ(actual.member_count, expected.members.size()) << what;
+  EXPECT_EQ(actual.rounds, expected.rounds) << what;
+  EXPECT_EQ(actual.contributors, expected.contributors) << what;
+  EXPECT_EQ(actual.all_healthy, expected.all_healthy) << what;
+  EXPECT_EQ(actual_lookups, expected_lookups) << what;
+  EXPECT_TRUE(std::ranges::equal(push.last_set_words(),
+                                 pulled.last_set_words()))
+      << what;
+  std::size_t wrong_parents = 0;
+  for (std::size_t i = 0; i < expected.members.size(); ++i) {
+    if (pulled.last_parent(expected.members[i]) != expected.parent[i]) {
+      ++wrong_parents;
+    }
+  }
+  EXPECT_EQ(wrong_parents, 0u) << what;
+}
+
+/// The pulled final run (SetBuilder::run_pulled, DESIGN.md §2.1) against
+/// the push loop it replaces: from the seed of component `certified` and of
+/// the last component, with stop_on_certify off and on, on the calling
+/// thread and split over `lanes`, one builder reused throughout.
+void expect_pulled_matches_push(const ImplicitGraph& iview,
+                                const PartitionPlan& plan, unsigned delta,
+                                std::uint32_t certified,
+                                const SyndromeOracle& oracle,
+                                ThreadPool& lanes, const std::string& what) {
+  SetBuilder push(iview, ParentRule::kLeastFirst);
+  SetBuilder pulled(iview, ParentRule::kLeastFirst);
+  const auto last = static_cast<std::uint32_t>(plan.num_components() - 1);
+  for (const bool stop : {false, true}) {
+    push.set_stop_on_certify(stop);
+    pulled.set_stop_on_certify(stop);
+    for (const std::uint32_t c : {certified, last}) {
+      const Node seed = plan.seed_of(c);
+      oracle.reset_lookups();
+      const SetBuilderResult expected = push.run(oracle, seed, delta);
+      const std::uint64_t expected_lookups = oracle.lookups();
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &lanes}) {
+        oracle.reset_lookups();
+        const SetBuilderCounts actual =
+            pulled.run_pulled(oracle, seed, delta, pool);
+        expect_same_pulled_run(
+            push, expected, expected_lookups, pulled, actual,
+            oracle.lookups(),
+            what + (stop ? "/stop-on-certify" : "") +
+                "/pulled from component " + std::to_string(c) + " on " +
+                std::to_string(pool == nullptr ? 1 : pool->size()) +
+                " lane(s)");
+      }
+    }
+  }
+}
+
 // The implicit-view contract: a Diagnoser driven through the hypercube's
 // ImplicitGraph must be bit-identical — faults, failure strings, probes AND
 // look-up counts — to one driven through the materialised CSR, whether the
 // oracle itself reads the implicit view (ImplicitLazyOracle) or a shared
-// syndrome table (TableOracle); so must every Set_Builder run of the two
-// views (expect_runs_match).
-void expect_implicit_matches_csr(const FamilyCase& family) {
+// syndrome table (TableOracle), and whether its final run is pulled on the
+// calling thread or over `lanes`; so must every Set_Builder run of the two
+// views (expect_runs_match), and every pulled run must equal the push run
+// of its own view (expect_pulled_matches_push).
+void expect_implicit_matches_csr(const FamilyCase& family, ThreadPool& lanes) {
   SCOPED_TRACE(family.spec);
   test::Instance inst(family.spec);
   const std::size_t n = inst.graph.num_nodes();
@@ -479,10 +561,15 @@ void expect_implicit_matches_csr(const FamilyCase& family) {
       expect_bit_identical(expected, imp_diagnoser.diagnose(ilazy),
                            what + "/lazy");
       EXPECT_EQ(lazy.lookups(), ilazy.lookups()) << what;
+      expect_bit_identical(expected, imp_diagnoser.diagnose(ilazy, &lanes),
+                           what + "/lazy/lanes");
       if (compare_runs) {
         expect_runs_match(inst.graph, iview, *csr_partition.plan,
                           family.delta, expected.certified_component, lazy,
                           ilazy, what + "/lazy");
+        expect_pulled_matches_push(iview, *csr_partition.plan, family.delta,
+                                   expected.certified_component, ilazy, lanes,
+                                   what + "/lazy");
       }
 
       // Shared TableOracle: the very same oracle object through both
@@ -494,23 +581,119 @@ void expect_implicit_matches_csr(const FamilyCase& family) {
       const DiagnosisResult t_expected = csr_diagnoser.diagnose(table);
       expect_bit_identical(t_expected, imp_diagnoser.diagnose(table),
                            what + "/table");
+      expect_bit_identical(t_expected, imp_diagnoser.diagnose(table, &lanes),
+                           what + "/table/lanes");
       if (small) {
         expect_runs_match(inst.graph, iview, *csr_partition.plan,
                           family.delta, t_expected.certified_component, table,
                           table, what + "/table");
+        expect_pulled_matches_push(iview, *csr_partition.plan, family.delta,
+                                   t_expected.certified_component, table,
+                                   lanes, what + "/table");
       }
     }
   }
 }
 
 TEST(DispatchEquivalence, ImplicitViewMatchesCsrOnHypercubes) {
+  // Three lanes, so a pulled run's word blocks never align to a power of
+  // two.
+  ThreadPool lanes(3);
   // Membership words: hypercube 5 fills part of one, 6 exactly one, 7 two.
-  expect_implicit_matches_csr({"hypercube 5", 3});
-  expect_implicit_matches_csr({"hypercube 6", 4});
-  expect_implicit_matches_csr({"hypercube 7", 7});
-  expect_implicit_matches_csr({"hypercube 10", 10});
+  expect_implicit_matches_csr({"hypercube 5", 3}, lanes);
+  expect_implicit_matches_csr({"hypercube 6", 4}, lanes);
+  expect_implicit_matches_csr({"hypercube 7", 7}, lanes);
+  expect_implicit_matches_csr({"hypercube 10", 10}, lanes);
   // One 2^16-node instance, a scale none of the families above reaches.
-  expect_implicit_matches_csr({"hypercube 16", 16});
+  expect_implicit_matches_csr({"hypercube 16", 16}, lanes);
+}
+
+/// Answers like `inner` until its read numbered `fuse` (counting from 1),
+/// which throws. Reads through the view's positions, so a position-only
+/// test costs `inner` nothing either.
+class FusedOracle final : public SyndromeOracle {
+ public:
+  FusedOracle(const ImplicitGraph& view, const SyndromeOracle& inner,
+              std::uint64_t fuse)
+      : SyndromeOracle(view), view_(view), inner_(inner), fuse_(fuse) {}
+
+ protected:
+  [[nodiscard]] bool test_impl(Node u, unsigned i, unsigned j) const override {
+    return endpoint_test_impl(u, i, j, view_.neighbor(u, i),
+                              view_.neighbor(u, j));
+  }
+  [[nodiscard]] bool endpoint_test_impl(Node u, unsigned i, unsigned j, Node v,
+                                        Node w) const override {
+    if (reads_.fetch_add(1, std::memory_order_relaxed) + 1 == fuse_) {
+      throw std::runtime_error("fused oracle: read " + std::to_string(fuse_));
+    }
+    return inner_.uncounted_test(u, i, j, v, w);
+  }
+
+ private:
+  const ImplicitGraph& view_;
+  const SyndromeOracle& inner_;
+  std::uint64_t fuse_;
+  mutable std::atomic<std::uint64_t> reads_{0};
+};
+
+TEST(DispatchEquivalence, PulledRunRecoversFromAThrowingLane) {
+  // A throw from a lane mid-round abandons the run with its frontier words
+  // half-written; the builder's next pulled run must still equal a fresh
+  // builder's, on the calling thread and on three lanes.
+  test::Instance inst("hypercube 10");
+  const ImplicitGraph iview(*inst.topo);
+  const std::size_t n = iview.num_nodes();
+  Rng rng(0xF05E);
+  const FaultSet faults(n, inject_uniform(n, 10, rng));
+  const ImplicitLazyOracle oracle(iview, faults, FaultyBehavior::kRandom, 3);
+  const Node seed = 0x2A5;
+  ThreadPool three(3);
+  for (ThreadPool* lanes : {static_cast<ThreadPool*>(nullptr), &three}) {
+    SCOPED_TRACE(lanes == nullptr ? "calling thread" : "three lanes");
+    SetBuilder fresh(iview, ParentRule::kLeastFirst);
+    oracle.reset_lookups();
+    const SetBuilderCounts expected = fresh.run_pulled(oracle, seed, 10, lanes);
+    const std::uint64_t expected_lookups = oracle.lookups();
+    ASSERT_GT(expected.rounds, 3u);
+
+    SetBuilder reused(iview, ParentRule::kLeastFirst);
+    // Half the run's reads in: past round 1, which reads on the calling
+    // thread, and inside a round that the lanes pull.
+    const FusedOracle fused(iview, oracle, expected_lookups / 2);
+    EXPECT_THROW((void)reused.run_pulled(fused, seed, 10, lanes),
+                 std::runtime_error);
+
+    oracle.reset_lookups();
+    const SetBuilderCounts actual = reused.run_pulled(oracle, seed, 10, lanes);
+    EXPECT_EQ(actual.member_count, expected.member_count);
+    EXPECT_EQ(actual.rounds, expected.rounds);
+    EXPECT_EQ(actual.contributors, expected.contributors);
+    EXPECT_EQ(actual.all_healthy, expected.all_healthy);
+    EXPECT_EQ(oracle.lookups(), expected_lookups);
+    EXPECT_TRUE(std::ranges::equal(fresh.last_set_words(),
+                                   reused.last_set_words()));
+    std::size_t wrong_parents = 0;
+    for (Node v = 0; v < n; ++v) {
+      if (fresh.last_parent(v) != reused.last_parent(v)) ++wrong_parents;
+    }
+    EXPECT_EQ(wrong_parents, 0u);
+  }
+}
+
+TEST(DispatchEquivalence, PulledRunServesOnlyTheImplicitLeastFirstRun) {
+  test::Instance inst("hypercube 7");
+  const ImplicitGraph iview(*inst.topo);
+  const FaultFreeOracle oracle;
+  SetBuilder csr(inst.graph, ParentRule::kLeastFirst);
+  EXPECT_THROW((void)csr.run_pulled(oracle, 0, 7), std::logic_error);
+  SetBuilder spread(iview, ParentRule::kSpread);
+  EXPECT_THROW((void)spread.run_pulled(oracle, 0, 7), std::logic_error);
+  SetBuilder least(iview, ParentRule::kLeastFirst);
+  EXPECT_THROW((void)least.run_pulled(oracle, 128, 7), std::invalid_argument);
+  const SetBuilderCounts all = least.run_pulled(oracle, 0, 7);
+  EXPECT_EQ(all.member_count, 128u);
+  EXPECT_TRUE(all.all_healthy);
 }
 
 /// Components that fix a node's low `low_bits` bits. Not a PrefixBitsPlan,

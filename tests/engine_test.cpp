@@ -704,6 +704,42 @@ TEST(DiagnosisEngine, ImplicitModeIsBitIdenticalAndMaterialisesNoEdges) {
   }
 }
 
+TEST(DiagnosisEngine, DiagnoseSplitsAnImplicitFinalRunOverItsLanes) {
+  // diagnose() hands an implicit calibration's final run to the engine's
+  // pool, idle while it holds serve()'s lock (SetBuilder::run_pulled). On
+  // three lanes, every answer over hypercube 10 and 12, |F| = 0..δ under
+  // every behaviour, must equal a one-lane engine's and a CSR Diagnoser's
+  // on the same partition, look-ups included; the TSan pass watches the
+  // lanes.
+  EngineOptions options;
+  options.graph_mode = GraphMode::kImplicit;
+  options.threads = 3;
+  DiagnosisEngine lanes(options);
+  options.threads = 1;
+  DiagnosisEngine one_lane(options);
+  for (const char* spec : {"hypercube 10", "hypercube 12"}) {
+    SCOPED_TRACE(spec);
+    const test::Instance inst(spec);
+    const ImplicitGraph iview(*inst.topo);
+    Diagnoser csr(inst.graph, lanes.calibration(spec)->partition,
+                  options.diagnoser);
+    const std::size_t n = iview.num_nodes();
+    std::size_t item = 0;
+    for (std::size_t f = 0; f <= csr.delta(); ++f) {
+      for (const FaultyBehavior behavior : kAllFaultyBehaviors) {
+        Rng rng(0x1A4E5 + item);
+        const FaultSet faults(n, inject_uniform(n, f, rng));
+        const LazyOracle lazy(inst.graph, faults, behavior, item);
+        const ImplicitLazyOracle ilazy(iview, faults, behavior, item);
+        const DiagnosisResult expected = csr.diagnose(lazy);
+        expect_bit_identical(expected, lanes.diagnose(spec, ilazy), item);
+        expect_bit_identical(expected, one_lane.diagnose(spec, ilazy), item);
+        ++item;
+      }
+    }
+  }
+}
+
 TEST(DiagnosisEngine, ImplicitOracleOverAnotherGraphThrowsBeforeAnyLookup) {
   // A lazy oracle over an implicit hypercube 14 has no CSR graph, but it
   // records its view's shape: sent as a larger hypercube, it must fail the

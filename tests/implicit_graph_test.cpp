@@ -1,17 +1,18 @@
 // ImplicitGraph equivalence suite: the hypercube's closed-form view must
 // answer every GraphView query — degree, the sorted neighbour list,
-// neighbor(u, p), neighbor_position (including misses), and
-// mirror_position(u, p, v) from the held neighbour v — exactly like the
-// materialised CSR graph. The CSR invariant (neighbours sorted ascending)
+// neighbor(u, p) and neighbor_position (including misses) — exactly like
+// the materialised CSR graph. The CSR invariant (neighbours sorted ascending)
 // is what makes the two views interchangeable bit for bit in the solver:
 // position p means the same edge in both worlds, so they consult identical
-// syndrome bits. Every other family has no implicit view and is refused.
+// syndrome bits. Its word-level read (neighbor_words) must agree with its
+// per-node one. Every other family has no implicit view and is refused.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "engine/calibration.hpp"
 #include "graph/graph.hpp"
@@ -46,10 +47,6 @@ TEST(ImplicitGraph, MatchesCsrOnHypercubes) {
         EXPECT_EQ(implicit.neighbor_position(u, expected[p]),
                   csr.neighbor_position(u, expected[p]))
             << "u=" << u << " p=" << p;
-        // The mirror comes from the held neighbour: u's place in adj(v).
-        EXPECT_EQ(implicit.mirror_position(u, p, expected[p]),
-                  csr.mirror_position(u, p))
-            << "u=" << u << " p=" << p;
       }
       // Non-neighbours come back as -1 from both views: u itself, and the
       // node two bit flips away.
@@ -65,6 +62,41 @@ TEST(ImplicitGraph, MatchesCsrOnHypercubes) {
 
 // Direct closed-form spot checks, independent of the CSR cross-check above,
 // on hand-computed expectations.
+TEST(ImplicitGraph, NeighborWordsReadEachDimensionOfAWord) {
+  // neighbor_words must report, for every node of a word and every
+  // dimension, the bitmap's bit at the node's neighbour across it — the
+  // per-node answer clear_neighbor_dims gives — and OR them into its
+  // return value.
+  for (const unsigned n : {3u, 6u, 7u, 9u}) {
+    const std::string spec = "hypercube " + std::to_string(n);
+    SCOPED_TRACE(spec);
+    const ImplicitGraph q{Hypercube(n)};
+    const std::size_t nodes = q.num_nodes();
+    std::vector<std::uint64_t> bitmap((nodes + 63) / 64, 0u);
+    std::uint64_t state = 0x9E3779B97F4A7C15u;
+    for (Node v = 0; v < nodes; ++v) {
+      state = state * 6364136223846793005u + 1442695040888963407u;
+      if ((state >> 61) == 0) bitmap[v >> 6] |= std::uint64_t{1} << (v & 63);
+    }
+    std::uint64_t out[32];
+    for (Node w = 0; w < bitmap.size(); ++w) {
+      const std::uint64_t any = q.neighbor_words(w, bitmap, out);
+      for (Node b = 0; b < 64 && (w << 6) + b < nodes; ++b) {
+        const Node v = (w << 6) + b;
+        const std::uint32_t clear = q.clear_neighbor_dims(v, bitmap, n);
+        bool has_neighbour = false;
+        for (unsigned d = 0; d < n; ++d) {
+          const bool set = (out[d] >> b) & 1;
+          EXPECT_EQ(set, ((clear >> d) & 1) == 0)
+              << "v=" << v << " d=" << d;
+          has_neighbour = has_neighbour || set;
+        }
+        EXPECT_EQ(has_neighbour, bool((any >> b) & 1)) << "v=" << v;
+      }
+    }
+  }
+}
+
 TEST(ImplicitGraph, HypercubeClosedForms) {
   // u = 2 = 0b0010 in Q4: ascending neighbours are 0 (flip bit 1, down),
   // 3 (flip bit 0, up), 6 (flip bit 2, up), 10 (flip bit 3, up).
@@ -81,14 +113,6 @@ TEST(ImplicitGraph, HypercubeClosedForms) {
   }
   EXPECT_EQ(q4.neighbor_position(2, 7), -1);   // two bits apart
   EXPECT_EQ(q4.neighbor_position(2, 18), -1);  // bit 4 lies outside Q4
-}
-
-TEST(ImplicitGraph, MirrorQueryRejectsANonNeighbour) {
-  const ImplicitGraph q4(Hypercube(4));
-  // adj(0) = {1, 2, 4, 8}: 2 sits at position 1.
-  EXPECT_EQ(q4.mirror_position(2, 0, 0), 1u);
-  // 7 = 0b0111 is two bit flips from 2: no position to return.
-  EXPECT_THROW((void)q4.mirror_position(2, 0, 7), std::logic_error);
 }
 
 // Every other family solves faster on its CSR and has no implicit view:
